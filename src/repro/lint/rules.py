@@ -1019,7 +1019,7 @@ class SharedAsyncStateRule(Rule):
     code = "RPL014"
     summary = (
         "instance attribute written from multiple async methods; interleaved "
-        "coroutines race on it — route the hand-off through BoundedWorkQueue "
+        "coroutines race on it — route the hand-off through an asyncio.Queue "
         "or confine writes to one task"
     )
     severity = "warning"
@@ -1053,7 +1053,7 @@ class SharedAsyncStateRule(Rule):
                 node,
                 f"self.{attr} is written from multiple coroutines "
                 f"({', '.join(methods)}) of {cls.name}; interleaved tasks "
-                "race on it — pass the value through BoundedWorkQueue or "
+                "race on it — pass the value through an asyncio.Queue or "
                 "give one task sole ownership",
             )
 

@@ -1,7 +1,7 @@
 """repro.serve: the async streaming edge-fleet runtime.
 
 Runs Algorithm 1 (per-edge online model selection) and Algorithm 2 (central
-carbon-allowance trading) as long-lived asyncio tasks over pluggable stream
+carbon-allowance trading) as one asyncio slot loop over pluggable stream
 adapters, with bounded-queue backpressure, periodic snapshot/restore, a
 stdlib health endpoint, and a deterministic virtual-clock mode that is
 bit-identical to :meth:`repro.sim.simulator.Simulator.run`.

@@ -16,8 +16,8 @@ Four sources, all reusing existing subsystems:
   consumes the same generator the kernel would have — determinism holds
   either way.
 
-Adapters are synchronous, picklable state machines; the async feeder tasks
-in :mod:`repro.serve.runtime` drive them.
+Adapters are synchronous, picklable state machines; the slot loop
+(:func:`repro.serve.runtime.serve_edges`) drives them.
 """
 
 from __future__ import annotations

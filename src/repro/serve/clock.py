@@ -1,7 +1,8 @@
 """Pluggable slot clocks gating how far ahead the fleet may run.
 
-The coordinator *releases* slots as it completes them; feeders *wait* for a
-slot's release before generating its workload.  :class:`VirtualClock`
+The runtime *releases* slots as it folds them; the slot loop
+(:func:`~repro.serve.runtime.serve_edges`) draws a slot's workload only
+once it is released and *due*.  :class:`VirtualClock`
 advances only on releases — time is logical, runs are deterministic, and a
 release depth of one yields the lockstep schedule that is bit-identical to
 ``Simulator.run``.  :class:`WallClock` additionally paces each slot to real
@@ -34,8 +35,8 @@ def release_target(
     ``pipeline_depth`` slots may be in flight.  Releases never cross the
     next snapshot boundary — nor, when given, the next restart-checkpoint
     boundary (``restart_state_every``) or reconfiguration ``barrier`` —
-    so when the coordinator reaches one, every worker is provably
-    quiescent.  Shared by the in-process coordinator
+    so when the fold reaches one, every edge is provably
+    quiescent.  Shared by the in-process runtime
     (:class:`~repro.serve.runtime.ServeRuntime`) and the sharded parent
     (:class:`~repro.serve.shard.ShardRuntime`) so the two runtimes release
     identical schedules.
@@ -78,6 +79,10 @@ class SlotClock:
             self._released = upto
             self._condition.notify_all()
 
+    def due(self, t: int) -> bool:
+        """Whether :meth:`pace` would let slot ``t`` start without waiting."""
+        return True
+
     async def pace(self, t: int) -> None:
         """Hold slot ``t`` to real time; virtual clocks return immediately."""
 
@@ -101,6 +106,16 @@ class WallClock(SlotClock):
         super().__init__()
         self.slot_duration = slot_duration
         self._origin: float | None = None
+
+    def due(self, t: int) -> bool:
+        """Whether slot ``t``'s scheduled start has passed (never before
+        the first :meth:`pace`, which fixes the origin)."""
+        if self.slot_duration == 0:
+            return True
+        if self._origin is None:
+            return False
+        loop = asyncio.get_running_loop()
+        return loop.time() >= self._origin + t * self.slot_duration
 
     async def pace(self, t: int) -> None:
         """Sleep until slot ``t``'s scheduled start on the monotonic clock."""

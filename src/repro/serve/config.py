@@ -33,7 +33,8 @@ __all__ = [
 #: Stream adapters selectable by name in a serve config.
 ADAPTER_NAMES = ("poisson", "replay", "dataset", "shape")
 
-#: What a feeder does when an edge's work queue is full.
+#: What the slot loop does with a burst that does not fit its edge's
+#: work queue: hold it back until there is room, or shed it.
 BACKPRESSURE_MODES = ("block", "shed")
 
 #: What the sharded parent does when a worker process dies mid-horizon:

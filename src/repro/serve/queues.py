@@ -6,11 +6,16 @@ and compute debt rather than item counts.  A burst larger than the whole
 capacity is still admitted when the queue is empty (otherwise ``block``
 mode would deadlock on it); shed markers weigh nothing and always fit, so
 an edge sees every slot even when its payload was dropped.
+
+The queues are plain synchronous deques: one slot loop
+(:func:`~repro.serve.runtime.serve_edges`) is both the producer and the
+consumer of every queue it owns, so there is nothing to wait on.
+``block`` backpressure is the loop holding a drawn item back until
+:meth:`BoundedWorkQueue.fits` admits it.
 """
 
 from __future__ import annotations
 
-import asyncio
 from collections import deque
 from dataclasses import dataclass
 
@@ -52,12 +57,11 @@ class QueueStats:
 
 
 class BoundedWorkQueue:
-    """An asyncio FIFO bounded by total event weight.
+    """A FIFO bounded by total event weight.
 
-    ``put`` blocks until the item fits (``block=True``) or returns ``False``
-    immediately (``block=False`` — the shed path).  ``get`` blocks until an
-    item is available.  Single-producer/single-consumer per edge, so FIFO
-    order is also slot order.
+    :meth:`put` admits the item when it fits and otherwise counts a
+    rejection (the shed path); :meth:`get` pops the oldest item.  One
+    producer and one consumer per edge, so FIFO order is also slot order.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -66,12 +70,12 @@ class BoundedWorkQueue:
         self.capacity = capacity
         self.stats = QueueStats()
         self._items: deque[WorkItem] = deque()
-        self._condition = asyncio.Condition()
 
-    def _has_room(self, weight: int) -> bool:
-        if weight == 0 or self.stats.items == 0:
+    def fits(self, item: WorkItem) -> bool:
+        """Whether ``item`` would be admitted now."""
+        if item.weight == 0 or self.stats.items == 0:
             return True
-        return self.stats.events + weight <= self.capacity
+        return self.stats.events + item.weight <= self.capacity
 
     @property
     def depth_events(self) -> int:
@@ -83,28 +87,22 @@ class BoundedWorkQueue:
         """Items currently enqueued."""
         return self.stats.items
 
-    async def put(self, item: WorkItem, *, block: bool = True) -> bool:
-        """Enqueue ``item``; returns whether it was admitted."""
-        async with self._condition:
-            if not block and not self._has_room(item.weight):
-                self.stats.rejected += 1
-                return False
-            await self._condition.wait_for(lambda: self._has_room(item.weight))
-            self._items.append(item)
-            stats = self.stats
-            stats.events += item.weight
-            stats.items += 1
-            stats.total_enqueued += 1
-            stats.peak_events = max(stats.peak_events, stats.events)
-            self._condition.notify_all()
-            return True
+    def put(self, item: WorkItem) -> bool:
+        """Enqueue ``item`` if it fits; otherwise count a rejection."""
+        stats = self.stats
+        if not self.fits(item):
+            stats.rejected += 1
+            return False
+        self._items.append(item)
+        stats.events += item.weight
+        stats.items += 1
+        stats.total_enqueued += 1
+        stats.peak_events = max(stats.peak_events, stats.events)
+        return True
 
-    async def get(self) -> WorkItem:
-        """Dequeue the oldest item, waiting for one if the queue is empty."""
-        async with self._condition:
-            await self._condition.wait_for(lambda: self.stats.items > 0)
-            item = self._items.popleft()
-            self.stats.events -= item.weight
-            self.stats.items -= 1
-            self._condition.notify_all()
-            return item
+    def get(self) -> WorkItem:
+        """Dequeue the oldest item (``IndexError`` when empty)."""
+        item = self._items.popleft()
+        self.stats.events -= item.weight
+        self.stats.items -= 1
+        return item

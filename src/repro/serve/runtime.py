@@ -1,17 +1,23 @@
-"""The asyncio edge-fleet runtime: Algorithms 1 + 2 as long-lived tasks.
+"""The asyncio edge-fleet runtime: Algorithms 1 + 2 over one slot loop.
 
 Topology (one run):
 
-* per edge, a **feeder** task draws the slot's workload from its stream
-  adapter and enqueues it on that edge's bounded work queue (blocking or
-  shedding on backpressure), and an **actor** task drains the queue and
-  drives the edge's :class:`~repro.sim.kernel.EdgeSlotKernel` — the
-  Algorithm-1 select/observe loop;
-* one **coordinator** task collects every edge's slot outcome, aggregates
-  system emissions in edge order, drives the
-  :class:`~repro.sim.kernel.TradingSlotKernel` (Algorithm 2 + market +
-  ledger), persists snapshots at quiescent slot boundaries, and releases
-  further slots on the configured clock.
+* one **slot loop** (:func:`serve_edges`) owns every edge of the fleet —
+  or of one shard — as a single task.  Each round it draws the released
+  and due slots from the edges' stream adapters into bounded per-edge work
+  queues (blocking or shedding on backpressure), steps the oldest queued
+  slot of every edge in edge order through its
+  :class:`~repro.sim.kernel.EdgeSlotKernel` (the Algorithm-1
+  select/observe loop), and hands the slot's batch to a callback;
+* the callback **folds** the batch: it aggregates system emissions in
+  edge order, drives the :class:`~repro.sim.kernel.TradingSlotKernel`
+  (Algorithm 2 + market + ledger), persists snapshots at quiescent slot
+  boundaries, and releases further slots on the configured clock.
+
+Edges couple only through the trading ledger, so serving one slot is a
+barrier: step every edge, fold in edge order, trade once.  The sharded
+tier (:mod:`repro.serve.shard`) runs the same loop inside each worker
+process and folds in the parent.
 
 Determinism: the kernels, RNG stream layout, and aggregation order are the
 simulator's own (``Simulator.build_kernels``).  Under a virtual clock the
@@ -24,7 +30,11 @@ digests.  Wall-clock mode trades that lockstep for pipelining (up to
 from __future__ import annotations
 
 import asyncio
+import time
+from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Awaitable, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,8 +57,10 @@ from repro.spec import RunSpec
 __all__ = [
     "ServeRuntime",
     "SlotAggregator",
+    "SlotBatch",
     "build_serve_kernels",
     "offline_outcome",
+    "serve_edges",
     "serve_run",
 ]
 
@@ -84,13 +96,6 @@ def offline_outcome(
         served=0,
         **_OFFLINE_COSTS,
     )
-
-
-class _WorkerFailure:
-    """Carries a worker task's exception to the coordinator for re-raise."""
-
-    def __init__(self, exc: BaseException) -> None:
-        self.exc = exc
 
 
 def build_serve_kernels(
@@ -155,8 +160,8 @@ def build_serve_kernels(
 class SlotAggregator:
     """The per-slot edge-order fold into result arrays plus the trade step.
 
-    Extracted from the coordinator so the in-process runtime and the
-    sharded parent aggregate *identically*: outcomes are folded in global
+    Shared so the in-process runtime and the sharded parent aggregate
+    *identically*: outcomes are folded in global
     edge order (the simulator's float-summation order), then the trading
     kernel steps once on the slot's system emissions.  Holds the result
     arrays, their snapshot/restore halves, and the final
@@ -250,8 +255,321 @@ class SlotAggregator:
         )
 
 
-class ServeRuntime:
-    """One streaming serve run over a scenario's horizon.
+@dataclass
+class SlotBatch:
+    """One slot's results for a set of edges, in edge order.
+
+    ``queue_s`` holds each edge's draw-to-dequeue wait (a draw held back
+    by ``block`` backpressure waits too) and ``serve_s`` its kernel step,
+    both in seconds.  ``ingress`` maps edge to its resolved request stats
+    when an ingress tier is mounted, else ``None``.
+    """
+
+    t: int
+    outcomes: list[EdgeSlotOutcome]
+    queue_s: list[float]
+    serve_s: list[float]
+    ingress: dict[int, dict[str, object]] | None
+
+
+async def serve_edges(
+    edges: Sequence[int],
+    *,
+    adapters: Sequence[StreamAdapter],
+    kernels: Sequence[EdgeSlotKernel],
+    queues: Sequence[BoundedWorkQueue] | Mapping[int, BoundedWorkQueue],
+    clock: SlotClock,
+    config: ServeConfig,
+    tracer: Tracer,
+    start: int,
+    stop: int,
+    on_slot: Callable[[SlotBatch], Awaitable[None]],
+) -> None:
+    """Serve slots ``[start, stop)`` of ``edges`` as one task.
+
+    ``adapters``, ``kernels`` and ``queues`` are indexed by edge id and
+    read on every use, so a swapped adapter takes effect mid-run.  Each
+    round:
+
+    1. draw every released and due slot for every edge into its bounded
+       queue — under ``shed`` an item that does not fit becomes a
+       zero-weight shed marker; under ``block`` it is held back, and no
+       later slot is drawn, until stepping frees room;
+    2. step the oldest queued slot (every edge holds the same one) of each
+       edge in edge order and deliver the labels that came due;
+    3. resolve ingress and await ``on_slot`` with the slot's batch.
+
+    The loop waits — on the clock — only when the next slot is not queued
+    yet, and yields to the event loop once per slot so pipe and HTTP
+    tasks keep running.
+    """
+    loop = asyncio.get_running_loop()
+    shed_mode = config.backpressure == "shed"
+    delay = config.label_delay
+    has_ingress = config.ingress is not None
+    stamps = {e: deque() for e in edges}
+    held: dict[int, tuple[WorkItem, float]] = {}
+    drawn = start  # every edge has drawn the slots below this
+    for t in range(start, stop):
+        while drawn < stop and not held:
+            if drawn > t and (drawn > clock.released or not clock.due(drawn)):
+                break
+            await clock.wait_for_slot(drawn)
+            await clock.pace(drawn)
+            now = loop.time()
+            for e in edges:
+                item = adapters[e].next_item(drawn)
+                if tracer.enabled:
+                    tracer.emit(ArrivalEvent(t=drawn, edge=e, count=item.count))
+                queue = queues[e]
+                if not shed_mode and not queue.fits(item):
+                    held[e] = (item, now)
+                    continue
+                if not queue.put(item):
+                    if tracer.enabled:
+                        tracer.emit(
+                            QueueShedEvent(t=drawn, edge=e, count=item.count)
+                        )
+                    queue.put(WorkItem(t=drawn, count=item.count, shed=True))
+                stamps[e].append(now)
+            drawn += 1
+
+        outcomes: list[EdgeSlotOutcome] = []
+        queue_s: list[float] = []
+        serve_s: list[float] = []
+        for e in edges:
+            kernel = kernels[e]
+            item = queues[e].get()
+            dequeued = loop.time()
+            outcomes.append(
+                kernel.step(item.t, item.count, indices=item.indices, shed=item.shed)
+            )
+            queue_s.append(dequeued - stamps[e].popleft())
+            serve_s.append(loop.time() - dequeued)
+            if delay:
+                kernel.deliver_due(t - delay)
+        for e, (item, at) in list(held.items()):
+            if queues[e].fits(item):
+                queues[e].put(item)
+                stamps[e].append(at)
+                del held[e]
+
+        ingress = None
+        if has_ingress:
+            ingress = {
+                e: adapters[e].resolve_slot(outcome)
+                for e, outcome in zip(edges, outcomes)
+            }
+        await on_slot(SlotBatch(t, outcomes, queue_s, serve_s, ingress))
+        await asyncio.sleep(0)
+    if delay and stop == config.scenario.horizon:
+        for e in edges:
+            kernels[e].deliver_due(stop)
+
+
+class _BaseRuntime:
+    """Parent-side bookkeeping shared by both serving runtimes.
+
+    Holds the scenario, the trading kernel, the :class:`SlotAggregator`
+    and the counters; counts each folded outcome (``in == served + shed +
+    offline``), merges ingress request stats, restores snapshots, and
+    serves the ``/metrics`` payload and the final result.
+    """
+
+    def __init__(
+        self,
+        config: ServeConfig,
+        scenario: Scenario,
+        trading_kernel: TradingSlotKernel,
+        *,
+        tracer: Tracer | None,
+    ) -> None:
+        self.config = config
+        self.label = config.effective_label
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self._rebind_tracer = tracer is not None
+        self.scenario = scenario
+        self.trading_kernel = trading_kernel
+        self.horizon = self.scenario.horizon
+        self.num_edges = self.scenario.num_edges
+        self.aggregator = SlotAggregator(self.scenario, self.trading_kernel)
+        self.completed_slot = -1
+        counter = self.tracer.counter
+        self._events_in = counter("serve/events_in")
+        self._events_served = counter("serve/events_served")
+        self._events_shed = counter("serve/events_shed")
+        self._events_dropped_offline = counter("serve/events_dropped_offline")
+        self._slots_completed = counter("serve/slots_completed")
+        self._snapshots_taken = counter("serve/snapshots")
+        ingress_config = config.ingress_config()
+        self.ingress = None
+        if ingress_config is not None:
+            from repro.ingress.stats import IngressStats
+
+            self.ingress = IngressStats(ingress_config.class_names)
+            self._requests_in = counter("ingress/requests_in")
+            self._requests_dropped = counter("ingress/requests_dropped")
+            self._requests_deferred = counter("ingress/requests_deferred")
+            self._deadline_hits = counter("ingress/deadline_hits")
+            self._deadline_misses = counter("ingress/deadline_misses")
+
+    @classmethod
+    def from_snapshot(
+        cls,
+        path: str | Path,
+        *,
+        tracer: Tracer | None = None,
+        faults: FaultPlan | None = None,
+        **kwargs,
+    ):
+        """Rebuild a runtime mid-horizon from a persisted snapshot.
+
+        Snapshots are runtime-agnostic: the same file restores into a
+        :class:`ServeRuntime` or a :class:`~repro.serve.shard.ShardRuntime`
+        regardless of which side wrote it.
+        """
+        state = load_snapshot(path)
+        config = ServeConfig.from_dict(state["config"])
+        runtime = cls(config, tracer=tracer, faults=faults, **kwargs)
+        runtime._restore(state)
+        return runtime
+
+    def _restore(self, state: dict) -> None:
+        if state["label"] != self.label:
+            raise ValueError(
+                f"snapshot is for run {state['label']!r}, "
+                f"this runtime serves {self.label!r}"
+            )
+        next_slot = int(state["next_slot"])
+        if not 0 <= next_slot <= self.horizon:
+            raise ValueError(
+                f"snapshot resumes at slot {next_slot}, "
+                f"horizon is {self.horizon}"
+            )
+        self.trading_kernel.load_state(state["trading"])
+        if self._rebind_tracer:
+            self.trading_kernel.policy.bind_tracer(self.tracer)
+            self.trading_kernel.market.bind_tracer(self.tracer)
+            self.trading_kernel.ledger.bind_tracer(self.tracer)
+        self.aggregator.load_arrays(state["arrays"])
+        self.completed_slot = next_slot - 1
+        self._restore_edges(state, next_slot)
+
+    def _restore_edges(self, state: dict, next_slot: int) -> None:
+        """Install the snapshot's per-edge kernel and adapter states."""
+        raise NotImplementedError
+
+    def _snapshot_state(
+        self, next_slot: int, edges: list[object], adapters: list[object]
+    ) -> dict[str, object]:
+        """One snapshot dict: the given edge states plus the parent's own."""
+        return {
+            "label": self.label,
+            "config": self.config.to_dict(),
+            "next_slot": next_slot,
+            "edges": edges,
+            "adapters": adapters,
+            "trading": self.trading_kernel.state_dict(),
+            "arrays": self.aggregator.partial_arrays(next_slot),
+        }
+
+    def _save_snapshot(self, t: int, state: dict[str, object]) -> None:
+        """Persist the snapshot taken at the boundary after slot ``t``."""
+        path = self.config.snapshot_path
+        assert path is not None  # enforced by ServeConfig validation
+        save_snapshot(path, state)
+        self._snapshots_taken.increment()
+        if self.tracer.enabled:
+            self.tracer.emit(SnapshotEvent(t=t, path=str(path)))
+
+    def metrics(self) -> dict[str, object]:
+        """Tracer counters/timers and event tallies for ``GET /metrics``."""
+        payload: dict[str, object] = dict(self.tracer.metrics_snapshot())
+        payload["events"] = self.tracer.event_counts()
+        return payload
+
+    def result(self) -> SimulationResult:
+        """The completed run's records (requires the full horizon served)."""
+        if self.completed_slot < self.horizon - 1:
+            raise RuntimeError(
+                f"run stopped after slot {self.completed_slot}; "
+                f"horizon is {self.horizon} — resume it before asking for results"
+            )
+        return self.aggregator.result(self.label)
+
+    def _slot_range(self, max_slots: int | None) -> tuple[int, int]:
+        """The ``[start, stop)`` slots a ``run(max_slots=...)`` call serves."""
+        start = self.completed_slot + 1
+        stop = self.horizon
+        if max_slots is not None:
+            if max_slots < 1:
+                raise ValueError(f"max_slots must be >= 1, got {max_slots}")
+            stop = min(stop, start + max_slots)
+        return start, stop
+
+    def _finish(self, stop: int) -> SimulationResult | None:
+        return self.result() if stop == self.horizon else None
+
+    def _fold(
+        self,
+        t: int,
+        outcomes: list[EdgeSlotOutcome],
+        ingress: dict[int, dict] | None,
+        observe: Callable[[str, float], None] | None = None,
+    ) -> None:
+        """Count, merge and fold slot ``t`` (outcomes in global edge order).
+
+        With ``observe``, the aggregator fold is sampled as the ``trade``
+        stage and ingress deferral waits as the ``deferral`` stage.
+        """
+        for outcome in outcomes:
+            self._count(outcome)
+        if self.ingress is not None and ingress:
+            self._merge_ingress(ingress, observe)
+        if observe is None:
+            self.aggregator.fold(t, outcomes)
+        else:
+            fold_start = time.monotonic()
+            self.aggregator.fold(t, outcomes)
+            observe("trade", time.monotonic() - fold_start)
+        self.completed_slot = t
+        self._slots_completed.increment()
+
+    def _count(self, outcome: EdgeSlotOutcome) -> None:
+        self._events_in.increment(outcome.arrivals)
+        if outcome.offline:
+            self._events_dropped_offline.increment(outcome.arrivals)
+        elif outcome.shed:
+            self._events_shed.increment(outcome.arrivals)
+        else:
+            self._events_served.increment(outcome.served)
+
+    def _merge_ingress(
+        self,
+        payloads: dict[int, dict],
+        observe: Callable[[str, float], None] | None,
+    ) -> None:
+        """Fold one slot's resolved request stats, in edge order.
+
+        Runs exactly once per folded slot.  Deferral wait samples feed
+        ``observe`` in units of *slots*.
+        """
+        assert self.ingress is not None
+        for _, payload in sorted(payloads.items()):
+            self.ingress.absorb(payload)
+            self._requests_in.increment(payload["in"])
+            self._requests_dropped.increment(payload["dropped"])
+            self._requests_deferred.increment(payload["deferred"])
+            self._deadline_hits.increment(payload["hits"])
+            self._deadline_misses.increment(payload["misses"])
+            if observe is not None:
+                for wait, count in sorted(payload["waits"].items()):
+                    for _ in range(count):
+                        observe("deferral", float(wait))
+
+
+class ServeRuntime(_BaseRuntime):
+    """One streaming serve run over a scenario's horizon, in-process.
 
     Construct from a :class:`ServeConfig` (the scenario is built from its
     embedded :class:`~repro.sim.config.ScenarioConfig`), or resume one from
@@ -268,18 +586,10 @@ class ServeRuntime:
         tracer: Tracer | None = None,
         faults: FaultPlan | None = None,
     ) -> None:
-        self.config = config
-        self.label = config.effective_label
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._rebind_tracer = tracer is not None
-        (
-            self.scenario,
-            self.adapters,
-            self.edge_kernels,
-            self.trading_kernel,
-        ) = build_serve_kernels(config, tracer=tracer, faults=faults)
-        self.horizon = self.scenario.horizon
-        self.num_edges = self.scenario.num_edges
+        scenario, self.adapters, self.edge_kernels, trading_kernel = (
+            build_serve_kernels(config, tracer=tracer, faults=faults)
+        )
+        super().__init__(config, scenario, trading_kernel, tracer=tracer)
         self.clock: SlotClock = (
             VirtualClock()
             if config.virtual_clock
@@ -288,90 +598,27 @@ class ServeRuntime:
         self.queues = [
             BoundedWorkQueue(config.queue_capacity) for _ in range(self.num_edges)
         ]
-        self.completed_slot = -1
         self.status_server: StatusServer | None = None
-        #: Set once run_async has spawned the fleet (and the status server,
+        #: Set once run_async has started serving (and the status server,
         #: when one is configured) — the event-driven "server is up" wait.
         self.server_ready = asyncio.Event()
-        self.aggregator = SlotAggregator(self.scenario, self.trading_kernel)
-        self._arrays = self.aggregator.arrays
-        tracer_obj = self.tracer
-        self._events_in = tracer_obj.counter("serve/events_in")
-        self._events_served = tracer_obj.counter("serve/events_served")
-        self._events_shed = tracer_obj.counter("serve/events_shed")
-        self._events_dropped_offline = tracer_obj.counter(
-            "serve/events_dropped_offline"
-        )
-        self._slots_completed = tracer_obj.counter("serve/slots_completed")
-        self._snapshots_taken = tracer_obj.counter("serve/snapshots")
-        ingress_config = config.ingress_config()
-        self.ingress = None
-        if ingress_config is not None:
-            from repro.ingress.stats import IngressStats
 
-            self.ingress = IngressStats(ingress_config.class_names)
-            self._requests_in = tracer_obj.counter("ingress/requests_in")
-            self._requests_dropped = tracer_obj.counter("ingress/requests_dropped")
-            self._requests_deferred = tracer_obj.counter(
-                "ingress/requests_deferred"
-            )
-            self._deadline_hits = tracer_obj.counter("ingress/deadline_hits")
-            self._deadline_misses = tracer_obj.counter("ingress/deadline_misses")
-        self._reports: asyncio.Queue[EdgeSlotOutcome | _WorkerFailure] | None = None
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        path: str | Path,
-        *,
-        tracer: Tracer | None = None,
-        faults: FaultPlan | None = None,
-    ) -> "ServeRuntime":
-        """Rebuild a runtime mid-horizon from a persisted snapshot."""
-        state = load_snapshot(path)
-        config = ServeConfig.from_dict(state["config"])
-        runtime = cls(config, tracer=tracer, faults=faults)
-        runtime._restore(state)
-        return runtime
-
-    def _restore(self, state: dict[str, object]) -> None:
-        if state["label"] != self.label:
-            raise ValueError(
-                f"snapshot is for run {state['label']!r}, "
-                f"this runtime serves {self.label!r}"
-            )
-        next_slot = int(state["next_slot"])
-        if not 0 <= next_slot <= self.horizon:
-            raise ValueError(
-                f"snapshot resumes at slot {next_slot}, "
-                f"horizon is {self.horizon}"
-            )
+    def _restore_edges(self, state: dict, next_slot: int) -> None:
         for kernel, kernel_state in zip(self.edge_kernels, state["edges"]):
             kernel.load_state(kernel_state)
         for adapter, adapter_state in zip(self.adapters, state["adapters"]):
             adapter.load_state(adapter_state)
-        self.trading_kernel.load_state(state["trading"])
         if self._rebind_tracer:
             for i, kernel in enumerate(self.edge_kernels):
                 kernel.policy.bind_tracer(self.tracer, edge=i)
-            self.trading_kernel.policy.bind_tracer(self.tracer)
-            self.trading_kernel.market.bind_tracer(self.tracer)
-            self.trading_kernel.ledger.bind_tracer(self.tracer)
-        self.aggregator.load_arrays(state["arrays"])
-        self.completed_slot = next_slot - 1
 
     def snapshot_state(self) -> dict[str, object]:
         """The full controller state as one picklable dict."""
-        next_slot = self.completed_slot + 1
-        return {
-            "label": self.label,
-            "config": self.config.to_dict(),
-            "next_slot": next_slot,
-            "edges": [kernel.state_dict() for kernel in self.edge_kernels],
-            "adapters": [adapter.state_dict() for adapter in self.adapters],
-            "trading": self.trading_kernel.state_dict(),
-            "arrays": self.aggregator.partial_arrays(next_slot),
-        }
+        return self._snapshot_state(
+            self.completed_slot + 1,
+            [kernel.state_dict() for kernel in self.edge_kernels],
+            [adapter.state_dict() for adapter in self.adapters],
+        )
 
     def health(self) -> dict[str, object]:
         """Liveness payload for ``GET /healthz``."""
@@ -395,21 +642,6 @@ class ServeRuntime:
             ],
         }
 
-    def metrics(self) -> dict[str, object]:
-        """Tracer counters/timers and event tallies for ``GET /metrics``."""
-        payload: dict[str, object] = dict(self.tracer.metrics_snapshot())
-        payload["events"] = self.tracer.event_counts()
-        return payload
-
-    def result(self) -> SimulationResult:
-        """The completed run's records (requires the full horizon served)."""
-        if self.completed_slot < self.horizon - 1:
-            raise RuntimeError(
-                f"run stopped after slot {self.completed_slot}; "
-                f"horizon is {self.horizon} — resume it before asking for results"
-            )
-        return self.aggregator.result(self.label)
-
     def run(self, *, max_slots: int | None = None) -> SimulationResult | None:
         """Serve the horizon (or ``max_slots`` of it) on a fresh event loop.
 
@@ -421,16 +653,10 @@ class ServeRuntime:
     async def run_async(
         self, *, max_slots: int | None = None
     ) -> SimulationResult | None:
-        """Async entry point: spawn the fleet, await completion."""
-        start = self.completed_slot + 1
-        stop = self.horizon
-        if max_slots is not None:
-            if max_slots < 1:
-                raise ValueError(f"max_slots must be >= 1, got {max_slots}")
-            stop = min(stop, start + max_slots)
+        """Async entry point: run the slot loop over every edge."""
+        start, stop = self._slot_range(max_slots)
         if start >= stop:
-            return self.result() if stop == self.horizon else None
-        self._reports = asyncio.Queue()
+            return self._finish(stop)
         if self.config.health_port is not None:
             self.status_server = StatusServer(
                 {"/healthz": self.health, "/metrics": self.metrics},
@@ -440,29 +666,22 @@ class ServeRuntime:
         self.server_ready.set()
         try:
             await self._release_through(self._release_target(start - 1))
-            workers = [
-                asyncio.create_task(
-                    self._feeder(i, start, stop), name=f"serve-feeder-{i}"
-                )
-                for i in range(self.num_edges)
-            ]
-            workers += [
-                asyncio.create_task(
-                    self._actor(i, start, stop), name=f"serve-actor-{i}"
-                )
-                for i in range(self.num_edges)
-            ]
-            try:
-                await self._coordinate(start, stop)
-            finally:
-                for task in workers:
-                    if not task.done():
-                        task.cancel()
-                await asyncio.gather(*workers, return_exceptions=True)
+            await serve_edges(
+                range(self.num_edges),
+                adapters=self.adapters,
+                kernels=self.edge_kernels,
+                queues=self.queues,
+                clock=self.clock,
+                config=self.config,
+                tracer=self.tracer,
+                start=start,
+                stop=stop,
+                on_slot=self._on_slot,
+            )
         finally:
             if self.status_server is not None:
                 await self.status_server.stop()
-        return self.result() if stop == self.horizon else None
+        return self._finish(stop)
 
     def _release_target(self, completed: int) -> int:
         """Furthest slot safe to release after completing ``completed``."""
@@ -482,118 +701,21 @@ class ServeRuntime:
                 tracer.emit(SlotStartEvent(t=t, horizon=self.horizon))
         await self.clock.release(target)
 
-    async def _feeder(self, edge: int, start: int, stop: int) -> None:
-        adapter = self.adapters[edge]
-        queue = self.queues[edge]
-        tracer = self.tracer
-        shed_mode = self.config.backpressure == "shed"
-        try:
-            for t in range(start, stop):
-                await self.clock.wait_for_slot(t)
-                await self.clock.pace(t)
-                item = adapter.next_item(t)
-                self._events_in.increment(item.count)
-                if tracer.enabled:
-                    tracer.emit(ArrivalEvent(t=t, edge=edge, count=item.count))
-                if shed_mode:
-                    admitted = await queue.put(item, block=False)
-                    if not admitted:
-                        self._events_shed.increment(item.count)
-                        if tracer.enabled:
-                            tracer.emit(
-                                QueueShedEvent(t=t, edge=edge, count=item.count)
-                            )
-                        await queue.put(
-                            WorkItem(t=t, count=item.count, shed=True),
-                            block=False,
-                        )
-                else:
-                    await queue.put(item)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            assert self._reports is not None
-            await self._reports.put(_WorkerFailure(exc))
-
-    async def _actor(self, edge: int, start: int, stop: int) -> None:
-        kernel = self.edge_kernels[edge]
-        queue = self.queues[edge]
-        delay = self.config.label_delay
-        try:
-            for t in range(start, stop):
-                item = await queue.get()
-                outcome = kernel.step(
-                    item.t, item.count, indices=item.indices, shed=item.shed
+    async def _on_slot(self, batch: SlotBatch) -> None:
+        t = batch.t
+        self._fold(t, batch.outcomes, batch.ingress)
+        every = self.config.snapshot_every
+        if every and (t + 1) % every == 0 and t + 1 < self.horizon:
+            busy = [i for i, queue in enumerate(self.queues) if queue.depth_items]
+            if busy:
+                raise RuntimeError(
+                    f"snapshot at slot boundary {t + 1} found non-quiescent "
+                    f"queues on edges {busy} — release capping is broken"
                 )
-                if outcome.offline:
-                    self._events_dropped_offline.increment(outcome.arrivals)
-                else:
-                    self._events_served.increment(outcome.served)
-                if delay:
-                    kernel.deliver_due(t - delay)
-                assert self._reports is not None
-                await self._reports.put(outcome)
-            if delay and stop == self.horizon:
-                kernel.deliver_due(self.horizon)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            assert self._reports is not None
-            await self._reports.put(_WorkerFailure(exc))
-
-    async def _coordinate(self, start: int, stop: int) -> None:
-        assert self._reports is not None
-        num_edges = self.num_edges
-        buffered: dict[tuple[int, int], EdgeSlotOutcome] = {}
-        for t in range(start, stop):
-            while any((t, i) not in buffered for i in range(num_edges)):
-                report = await self._reports.get()
-                if isinstance(report, _WorkerFailure):
-                    raise report.exc
-                buffered[(report.t, report.edge)] = report
-
-            outcomes = [buffered.pop((t, i)) for i in range(num_edges)]
-            if self.ingress is not None:
-                for outcome in outcomes:
-                    self._absorb_ingress(
-                        self.adapters[outcome.edge].resolve_slot(outcome)
-                    )
-            self.aggregator.fold(t, outcomes)
-            self.completed_slot = t
-            self._slots_completed.increment()
-
-            every = self.config.snapshot_every
-            if every and (t + 1) % every == 0 and t + 1 < self.horizon:
-                await self._take_snapshot(t)
-            await self._release_through(self._release_target(t))
-
-    def _absorb_ingress(self, payload: dict[str, object]) -> None:
-        """Fold one edge's resolved slot stats into the run accounting."""
-        assert self.ingress is not None
-        self.ingress.absorb(payload)
-        self._requests_in.increment(payload["in"])
-        self._requests_dropped.increment(payload["dropped"])
-        self._requests_deferred.increment(payload["deferred"])
-        self._deadline_hits.increment(payload["hits"])
-        self._deadline_misses.increment(payload["misses"])
-
-    async def _take_snapshot(self, t: int) -> None:
-        busy = [i for i, queue in enumerate(self.queues) if queue.depth_items]
-        if busy:
-            raise RuntimeError(
-                f"snapshot at slot boundary {t + 1} found non-quiescent "
-                f"queues on edges {busy} — release capping is broken"
-            )
-        path = self.config.snapshot_path
-        assert path is not None  # enforced by ServeConfig validation
-        # Capture state synchronously at the quiescent boundary, then hand
-        # the blocking file write to a worker thread: feeders resumed during
-        # the await cannot perturb what gets persisted.
-        state = self.snapshot_state()
-        await asyncio.to_thread(save_snapshot, path, state)
-        self._snapshots_taken.increment()
-        if self.tracer.enabled:
-            self.tracer.emit(SnapshotEvent(t=t, path=str(path)))
+            # State is captured here, at the quiescent boundary; the file
+            # write runs in a thread so the status server stays responsive.
+            await asyncio.to_thread(self._save_snapshot, t, self.snapshot_state())
+        await self._release_through(self._release_target(t))
 
 
 def serve_run(

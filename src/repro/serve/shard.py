@@ -1,8 +1,9 @@
 """Multi-process sharded edge tier behind the coordinator protocol.
 
 Topology (one run): the fleet's edges are partitioned contiguously across
-``num_workers`` worker *processes*; each worker runs the same feeder/actor
-event loop as :class:`~repro.serve.runtime.ServeRuntime` over its shard of
+``num_workers`` worker *processes*; each worker runs the same slot loop as
+:class:`~repro.serve.runtime.ServeRuntime`
+(:func:`~repro.serve.runtime.serve_edges`) over its shard of
 :class:`~repro.sim.kernel.EdgeSlotKernel`\\ s, while the parent process owns
 the :class:`~repro.sim.kernel.TradingSlotKernel`, the result arrays, the
 release schedule, and snapshot persistence.  The two sides exchange
@@ -72,7 +73,6 @@ from repro.faults.plan import FaultPlan
 from repro.obs.events import (
     ReconfigAppliedEvent,
     SlotStartEvent,
-    SnapshotEvent,
     WorkerDeathEvent,
     WorkerRestartEvent,
     WorkerSpawnEvent,
@@ -100,15 +100,17 @@ from repro.serve.frames import (
     send_frame,
 )
 from repro.serve.http import StatusServer
-from repro.serve.queues import BoundedWorkQueue, WorkItem
+from repro.serve.queues import BoundedWorkQueue
 from repro.serve.reconfig import ReconfigPlan, apply_op
 from repro.serve.runtime import (
     ServeRuntime,
-    SlotAggregator,
+    SlotBatch,
+    _BaseRuntime,
     build_serve_kernels,
     offline_outcome,
+    serve_edges,
 )
-from repro.serve.snapshot import load_snapshot, save_snapshot
+from repro.serve.snapshot import load_snapshot
 from repro.sim.kernel import EdgeSlotOutcome
 from repro.sim.results import SimulationResult
 
@@ -152,6 +154,17 @@ def _mp_context():
 # --------------------------------------------------------------------------
 
 
+def _error_frame(index: int, exc: BaseException) -> dict:
+    """The wire report of worker ``index`` failing with ``exc`` (call in
+    the ``except`` block, so the traceback is the live one)."""
+    return {
+        "type": ERROR,
+        "worker": index,
+        "message": f"{type(exc).__name__}: {exc}",
+        "traceback": traceback.format_exc(),
+    }
+
+
 def _worker_main(
     index: int,
     conn,
@@ -193,15 +206,7 @@ def _worker_main(
             pass
     except BaseException as exc:  # noqa: BLE001 - last-resort wire report
         try:
-            send_frame(
-                conn,
-                {
-                    "type": ERROR,
-                    "worker": index,
-                    "message": f"{type(exc).__name__}: {exc}",
-                    "traceback": traceback.format_exc(),
-                },
-            )
+            send_frame(conn, _error_frame(index, exc))
         except (BrokenPipeError, OSError):
             pass
     finally:
@@ -227,35 +232,32 @@ async def _worker_async(
     chaos: WorkerChaos | None,
     replay_from: int,
 ) -> None:
-    """One shard's event loop: feeders + actors + the pipe-facing tasks.
+    """One shard's event loop: the slot loop plus the pipe-facing tasks.
 
     Concurrency layout keeps every shared resource single-writer: all pipe
     writes flow through one **sender** task fed by ``outbox``; all pipe
     reads enter through one ``add_reader`` callback feeding ``control``;
-    per-slot outcomes funnel through one **reporter** task that batches a
-    slot's shard outcomes into a single frame.
+    the shard's edges run in one :func:`~repro.serve.runtime.serve_edges`
+    loop whose per-slot callback frames the batch into a single frame.
 
     A respawned incarnation runs three phases before going live at
     ``start``: a silent *catch-up* re-steps each edge from its restored
     checkpoint up to ``replay_from`` (outcomes discarded — the parent
     already folded them, and the deterministic kernels reproduce the exact
     same state); an *offline replay* reports ``[replay_from, start)`` as
-    offline outcomes with the real arrival counts; then the normal live
-    loops take over.
+    offline outcomes with the real arrival counts; then the slot loop
+    takes over.
     """
-    scenario, adapters, edge_kernels, _ = build_serve_kernels(
+    _, adapters, kernels, _ = build_serve_kernels(
         config, tracer=tracer, faults=faults
     )
-    horizon = scenario.horizon
-    kernels = {e: edge_kernels[e] for e in edges}
-    my_adapters = {e: adapters[e] for e in edges}
     has_ingress = config.ingress is not None
     delay = config.label_delay
     catchup: dict[int, tuple[int, str]] = {}
     if resume is not None:
         for e, state in resume["edges"].items():
             kernels[e].load_state(state)
-            my_adapters[e].load_state(resume["adapters"][e])
+            adapters[e].load_state(resume["adapters"][e])
         catchup = dict(resume.get("catchup", {}))
         if tracer is not None:
             for e in edges:
@@ -268,7 +270,7 @@ async def _worker_async(
     for e in edges:
         as_of, mode = catchup.get(e, (replay_from, "live"))
         kernel = kernels[e]
-        adapter = my_adapters[e]
+        adapter = adapters[e]
         for t in range(as_of, replay_from):
             item = adapter.next_item(t)
             if mode == "live":
@@ -289,13 +291,10 @@ async def _worker_async(
         VirtualClock() if config.virtual_clock else WallClock(config.slot_duration)
     )
     queues = {e: BoundedWorkQueue(config.queue_capacity) for e in edges}
-    trace = tracer if tracer is not None else NULL_TRACER
     loop = asyncio.get_running_loop()
     outbox: asyncio.Queue = asyncio.Queue()
-    reports: asyncio.Queue = asyncio.Queue()
     control: asyncio.Queue = asyncio.Queue()
     shutdown = asyncio.Event()
-    enqueue_ts: dict[int, dict[int, float]] = {e: {} for e in edges}
 
     def _on_readable() -> None:
         try:
@@ -315,7 +314,7 @@ async def _worker_async(
     for t in range(replay_from, start):
         outcomes = []
         for e in edges:
-            item = my_adapters[e].next_item(t)
+            item = adapters[e].next_item(t)
             outcomes.append(kernels[e].step_offline(t, item.count))
             if delay:
                 kernels[e].deliver_due(t - delay)
@@ -331,29 +330,18 @@ async def _worker_async(
             # Resolved against the offline outcomes: every release in a
             # replayed slot is dropped-offline, so it counts as a miss.
             frame["ingress"] = {
-                outcome.edge: my_adapters[outcome.edge].resolve_slot(outcome)
+                outcome.edge: adapters[outcome.edge].resolve_slot(outcome)
                 for outcome in outcomes
             }
         await outbox.put(frame)
 
-    def _state_frame() -> dict:
+    def _state_frame(kind: str = STATE) -> dict:
         return {
-            "type": STATE,
+            "type": kind,
             "worker": index,
             "edges": {e: kernels[e].state_dict() for e in edges},
-            "adapters": {e: my_adapters[e].state_dict() for e in edges},
+            "adapters": {e: adapters[e].state_dict() for e in edges},
         }
-
-    async def _fail(exc: Exception) -> None:
-        await outbox.put(
-            {
-                "type": ERROR,
-                "worker": index,
-                "message": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc(),
-            }
-        )
-        shutdown.set()
 
     async def _control() -> None:
         while True:
@@ -386,172 +374,97 @@ async def _worker_async(
             await asyncio.sleep(heartbeat_interval)
             await outbox.put({"type": HEARTBEAT, "worker": index})
 
-    async def _feeder(edge: int) -> None:
-        from repro.obs.events import ArrivalEvent, QueueShedEvent
+    restart_every = (
+        config.restart_state_every if config.on_worker_death == "restart" else 0
+    )
+    kill_slots = frozenset(chaos.kills) if chaos is not None else frozenset()
+    stall_slots = dict(chaos.stalls) if chaos is not None else {}
+    drop_slots = dict(chaos.drops) if chaos is not None else {}
 
-        adapter = my_adapters[edge]
-        queue = queues[edge]
-        shed_mode = config.backpressure == "shed"
-        stamps = enqueue_ts[edge]
+    async def _report(batch: SlotBatch) -> None:
+        t = batch.t
+        # Captured before anything hits the wire (ingress is already
+        # resolved, so checkpoints never carry provisional slot stats):
+        # releases are capped at the checkpoint boundary, so every shard
+        # kernel is quiescent at state t+1, and a chaos kill below can
+        # never orphan a checkpoint whose slot was not reported.
+        state_frame = None
+        if restart_every and (t + 1) % restart_every == 0 and t + 1 < stop:
+            state_frame = _state_frame(RESTART_STATE)
+            state_frame["next_slot"] = t + 1
+        drop = drop_slots.get(t)
+        if drop:
+            arm_transport_faults(drop)
+        stall = stall_slots.get(t)
+        if stall:
+            # Chaos: a deliberately hung worker — heartbeats stop too,
+            # which is the point.
+            time.sleep(stall)  # noqa: RPL012 - chaos stall by design
+        if t in kill_slots:
+            # Abrupt, SIGKILL-like death with this slot unreported —
+            # the parent sees a raw EOF and the process sentinel.
+            os._exit(1)
+        slot_frame = {
+            "type": SLOT,
+            "worker": index,
+            "t": t,
+            "outcomes": batch.outcomes,
+            "queue_s": batch.queue_s,
+            "serve_s": batch.serve_s,
+        }
+        if batch.ingress is not None:
+            slot_frame["ingress"] = batch.ingress
+        await outbox.put(slot_frame)
+        if state_frame is not None:
+            await outbox.put(state_frame)
+
+    async def _serve() -> None:
         try:
-            for t in range(start, stop):
-                await clock.wait_for_slot(t)
-                await clock.pace(t)
-                item = adapter.next_item(t)
-                if trace.enabled:
-                    trace.emit(ArrivalEvent(t=t, edge=edge, count=item.count))
-                # Stamped before put: a blocked put is queue latency too.
-                stamps[t] = loop.time()
-                if shed_mode:
-                    admitted = await queue.put(item, block=False)
-                    if not admitted:
-                        if trace.enabled:
-                            trace.emit(
-                                QueueShedEvent(t=t, edge=edge, count=item.count)
-                            )
-                        await queue.put(
-                            WorkItem(t=t, count=item.count, shed=True),
-                            block=False,
-                        )
-                else:
-                    await queue.put(item)
-        except asyncio.CancelledError:
-            raise
+            await serve_edges(
+                edges,
+                adapters=adapters,
+                kernels=kernels,
+                queues=queues,
+                clock=clock,
+                config=config,
+                tracer=tracer if tracer is not None else NULL_TRACER,
+                start=start,
+                stop=stop,
+                on_slot=_report,
+            )
         except Exception as exc:
-            await _fail(exc)
-
-    async def _actor(edge: int) -> None:
-        kernel = kernels[edge]
-        queue = queues[edge]
-        stamps = enqueue_ts[edge]
-        try:
-            for t in range(start, stop):
-                item = await queue.get()
-                dequeued = loop.time()
-                queue_s = dequeued - stamps.pop(item.t)
-                outcome = kernel.step(
-                    item.t, item.count, indices=item.indices, shed=item.shed
-                )
-                serve_s = loop.time() - dequeued
-                if delay:
-                    kernel.deliver_due(t - delay)
-                await reports.put((outcome, queue_s, serve_s))
-            if delay and stop == horizon:
-                kernel.deliver_due(horizon)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            await _fail(exc)
-
-    async def _reporter() -> None:
-        remaining = (stop - start) * len(edges)
-        pending: dict[int, list[tuple[EdgeSlotOutcome, float, float]]] = {}
-        restart_every = (
-            config.restart_state_every
-            if config.on_worker_death == "restart"
-            else 0
-        )
-        kill_slots = frozenset(chaos.kills) if chaos is not None else frozenset()
-        stall_slots = dict(chaos.stalls) if chaos is not None else {}
-        drop_slots = dict(chaos.drops) if chaos is not None else {}
-        while remaining:
-            outcome, queue_s, serve_s = await reports.get()
-            remaining -= 1
-            bucket = pending.setdefault(outcome.t, [])
-            bucket.append((outcome, queue_s, serve_s))
-            if len(bucket) != len(edges):
-                continue
-            t = outcome.t
-            del pending[t]
-            bucket.sort(key=lambda row: row[0].edge)
-            # Resolved before the checkpoint capture below so restart
-            # checkpoints never carry provisional slot stats.
-            ingress_payloads = None
-            if has_ingress:
-                ingress_payloads = {
-                    row[0].edge: my_adapters[row[0].edge].resolve_slot(row[0])
-                    for row in bucket
-                }
-            # Captured before anything hits the wire: releases are capped
-            # at the checkpoint boundary, so every shard kernel is
-            # quiescent at state t+1, and a chaos kill below can never
-            # orphan a checkpoint whose slot was not reported.
-            state_frame = None
-            if restart_every and (t + 1) % restart_every == 0 and t + 1 < stop:
-                state_frame = {
-                    "type": RESTART_STATE,
-                    "worker": index,
-                    "next_slot": t + 1,
-                    "edges": {e: kernels[e].state_dict() for e in edges},
-                    "adapters": {e: my_adapters[e].state_dict() for e in edges},
-                }
-            drop = drop_slots.get(t)
-            if drop:
-                arm_transport_faults(drop)
-            stall = stall_slots.get(t)
-            if stall:
-                # Chaos: a deliberately hung worker — heartbeats stop too,
-                # which is the point.
-                time.sleep(stall)  # noqa: RPL012 - chaos stall by design
-            if t in kill_slots:
-                # Abrupt, SIGKILL-like death with this slot unreported —
-                # the parent sees a raw EOF and the process sentinel.
-                os._exit(1)
-            slot_frame = {
-                "type": SLOT,
-                "worker": index,
-                "t": t,
-                "outcomes": [row[0] for row in bucket],
-                "queue_s": [row[1] for row in bucket],
-                "serve_s": [row[2] for row in bucket],
-            }
-            if ingress_payloads is not None:
-                slot_frame["ingress"] = ingress_payloads
-            await outbox.put(slot_frame)
-            if state_frame is not None:
-                await outbox.put(state_frame)
+            await outbox.put(_error_frame(index, exc))
+            shutdown.set()
 
     tasks = [
         asyncio.create_task(_control(), name=f"shard{index}-control"),
         asyncio.create_task(_sender(), name=f"shard{index}-sender"),
         asyncio.create_task(_heartbeat(), name=f"shard{index}-heartbeat"),
     ]
-    tasks += [
-        asyncio.create_task(_feeder(e), name=f"shard{index}-feeder-{e}")
-        for e in edges
-    ]
-    tasks += [
-        asyncio.create_task(_actor(e), name=f"shard{index}-actor-{e}")
-        for e in edges
-    ]
-    reporter_task = asyncio.create_task(_reporter(), name=f"shard{index}-reporter")
+    serve_task = asyncio.create_task(_serve(), name=f"shard{index}-serve")
     shutdown_task = asyncio.create_task(
         shutdown.wait(), name=f"shard{index}-shutdown"
     )
     await outbox.put({"type": READY, "worker": index})
     try:
         await asyncio.wait(
-            {reporter_task, shutdown_task},
+            {serve_task, shutdown_task},
             return_when=asyncio.FIRST_COMPLETED,
         )
-        if reporter_task.done() and not reporter_task.cancelled():
-            exc = reporter_task.exception()
-            if exc is not None:
-                raise exc
-            if stop < horizon:
-                # A partial run's stop slot may coincide with a snapshot
-                # boundary: the parent still needs this worker's STATE
-                # frame after the last SLOT, so hold the control channel
-                # open until it says DRAIN.
-                await shutdown_task
+        if serve_task.done() and stop < config.scenario.horizon:
+            # A partial run's stop slot may coincide with a snapshot
+            # boundary: the parent still needs this worker's STATE
+            # frame after the last SLOT, so hold the control channel
+            # open until it says DRAIN.
+            await shutdown_task
         # Flush everything queued for the wire before tearing down.
         await outbox.join()
     finally:
-        for task in [reporter_task, shutdown_task, *tasks]:
+        for task in [serve_task, shutdown_task, *tasks]:
             if not task.done():
                 task.cancel()
         await asyncio.gather(
-            reporter_task, shutdown_task, *tasks, return_exceptions=True
+            serve_task, shutdown_task, *tasks, return_exceptions=True
         )
         loop.remove_reader(conn.fileno())
 
@@ -622,7 +535,7 @@ class _StatusThread(threading.Thread):
         self.join(timeout=5.0)
 
 
-class ShardRuntime:
+class ShardRuntime(_BaseRuntime):
     """One serve run with the edge tier sharded across worker processes.
 
     API mirror of :class:`~repro.serve.runtime.ServeRuntime`: construct
@@ -659,19 +572,14 @@ class ShardRuntime:
         chaos: ChaosPlan | None = None,
         reconfig: ReconfigPlan | None = None,
     ) -> None:
-        self.config = config
-        self.label = config.effective_label
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._rebind_tracer = tracer is not None
-        self._faults = faults
         # The parent builds the full kernel set too: it keeps the trading
         # kernel (Algorithm 2 + market + ledger); the edge kernels are never
         # stepped here and their streams stay untouched (draws are lazy).
-        self.scenario, _, _, self.trading_kernel = build_serve_kernels(
+        scenario, _, _, trading_kernel = build_serve_kernels(
             config, tracer=tracer, faults=faults
         )
-        self.horizon = self.scenario.horizon
-        self.num_edges = self.scenario.num_edges
+        super().__init__(config, scenario, trading_kernel, tracer=tracer)
+        self._faults = faults
         self._reconfig = (
             reconfig if reconfig is not None and not reconfig.is_empty else None
         )
@@ -716,8 +624,6 @@ class ShardRuntime:
             horizon=self.horizon,
             seed=config.seed,
         )
-        self.aggregator = SlotAggregator(self.scenario, self.trading_kernel)
-        self.completed_slot = -1
         self._edge_state_slot = 0  # slot the (fresh/restored) edge state is at
         self._handles: list[_Shard] = []
         self._owner: dict[int, _Shard] = {}
@@ -740,39 +646,16 @@ class ShardRuntime:
         self._spawn_counts: dict[int, int] = {}
         self._reconfiguring = False
         self.status_thread: _StatusThread | None = None
-        tracer_obj = self.tracer
-        self._events_in = tracer_obj.counter("serve/events_in")
-        self._events_served = tracer_obj.counter("serve/events_served")
-        self._events_shed = tracer_obj.counter("serve/events_shed")
-        self._events_dropped_offline = tracer_obj.counter(
-            "serve/events_dropped_offline"
-        )
-        self._slots_completed = tracer_obj.counter("serve/slots_completed")
-        self._snapshots_taken = tracer_obj.counter("serve/snapshots")
-        self._heartbeats = tracer_obj.counter("serve/heartbeats")
-        self._shard_deaths = tracer_obj.counter("serve/shard_deaths")
-        self._restarts = tracer_obj.counter("serve/restarts")
-        self._reconfigs = tracer_obj.counter("serve/reconfigs")
-        ingress_config = config.ingress_config()
-        self.ingress = None
+        counter = self.tracer.counter
+        self._heartbeats = counter("serve/heartbeats")
+        self._shard_deaths = counter("serve/shard_deaths")
+        self._restarts = counter("serve/restarts")
+        self._reconfigs = counter("serve/reconfigs")
         #: Resolved per-slot ingress payloads awaiting their slot's fold:
         #: ``t -> {edge -> payload}``.  Overwrite semantics mirror the
         #: outcome buffer — a restarted worker's replay frames replace the
         #: dead incarnation's unfolded payloads, never double-count.
         self._pending_ingress: dict[int, dict[int, dict]] = {}
-        if ingress_config is not None:
-            from repro.ingress.stats import IngressStats
-
-            self.ingress = IngressStats(ingress_config.class_names)
-            self._requests_in = tracer_obj.counter("ingress/requests_in")
-            self._requests_dropped = tracer_obj.counter(
-                "ingress/requests_dropped"
-            )
-            self._requests_deferred = tracer_obj.counter(
-                "ingress/requests_deferred"
-            )
-            self._deadline_hits = tracer_obj.counter("ingress/deadline_hits")
-            self._deadline_misses = tracer_obj.counter("ingress/deadline_misses")
 
     @staticmethod
     def _partition(active: Sequence[int], num_workers: int) -> list[tuple[int, ...]]:
@@ -782,48 +665,9 @@ class ShardRuntime:
             for part in shard_edges(len(active), num_workers)
         ]
 
-    # -- construction / restore -------------------------------------------
+    # -- restore -----------------------------------------------------------
 
-    @classmethod
-    def from_snapshot(
-        cls,
-        path: str | Path,
-        *,
-        tracer: Tracer | None = None,
-        faults: FaultPlan | None = None,
-        **kwargs,
-    ) -> "ShardRuntime":
-        """Rebuild a sharded runtime mid-horizon from a persisted snapshot.
-
-        Snapshots are runtime-agnostic: the same file restores into a
-        :class:`ServeRuntime` or a :class:`ShardRuntime` regardless of
-        which side wrote it.
-        """
-        state = load_snapshot(path)
-        config = ServeConfig.from_dict(state["config"])
-        runtime = cls(config, tracer=tracer, faults=faults, **kwargs)
-        runtime._restore(state)
-        return runtime
-
-    def _restore(self, state: dict) -> None:
-        if state["label"] != self.label:
-            raise ValueError(
-                f"snapshot is for run {state['label']!r}, "
-                f"this runtime serves {self.label!r}"
-            )
-        next_slot = int(state["next_slot"])
-        if not 0 <= next_slot <= self.horizon:
-            raise ValueError(
-                f"snapshot resumes at slot {next_slot}, "
-                f"horizon is {self.horizon}"
-            )
-        self.trading_kernel.load_state(state["trading"])
-        if self._rebind_tracer:
-            self.trading_kernel.policy.bind_tracer(self.tracer)
-            self.trading_kernel.market.bind_tracer(self.tracer)
-            self.trading_kernel.ledger.bind_tracer(self.tracer)
-        self.aggregator.load_arrays(state["arrays"])
-        self.completed_slot = next_slot - 1
+    def _restore_edges(self, state: dict, next_slot: int) -> None:
         self._edge_state_slot = next_slot
         # Per-edge kernel/adapter states are handed to the workers, which
         # rebuild and then restore their own shard (one pickle payload per
@@ -875,21 +719,6 @@ class ShardRuntime:
             ],
         }
 
-    def metrics(self) -> dict[str, object]:
-        """Tracer counters/timers and event tallies for ``GET /metrics``."""
-        payload: dict[str, object] = dict(self.tracer.metrics_snapshot())
-        payload["events"] = self.tracer.event_counts()
-        return payload
-
-    def result(self) -> SimulationResult:
-        """The completed run's records (requires the full horizon served)."""
-        if self.completed_slot < self.horizon - 1:
-            raise RuntimeError(
-                f"run stopped after slot {self.completed_slot}; "
-                f"horizon is {self.horizon} — resume it before asking for results"
-            )
-        return self.aggregator.result(self.label)
-
     def run(self, *, max_slots: int | None = None) -> SimulationResult | None:
         """Serve the horizon (or ``max_slots`` of it) across the shards.
 
@@ -899,14 +728,9 @@ class ShardRuntime:
         state of a partial sharded run lives in its snapshot file, not in
         this object).
         """
-        start = self.completed_slot + 1
-        stop = self.horizon
-        if max_slots is not None:
-            if max_slots < 1:
-                raise ValueError(f"max_slots must be >= 1, got {max_slots}")
-            stop = min(stop, start + max_slots)
+        start, stop = self._slot_range(max_slots)
         if start >= stop:
-            return self.result() if stop == self.horizon else None
+            return self._finish(stop)
         if start != self._edge_state_slot:
             raise RuntimeError(
                 f"edge state is at slot {self._edge_state_slot} but the run "
@@ -967,7 +791,7 @@ class ShardRuntime:
         # A partial run's edge state exited with the workers; only a
         # snapshot file can continue it.
         self._edge_state_slot = -1 if stop < self.horizon else stop
-        return self.result() if stop == self.horizon else None
+        return self._finish(stop)
 
     # -- process management ------------------------------------------------
 
@@ -1444,18 +1268,6 @@ class ShardRuntime:
                     pass  # the death will surface via the sentinel
         self._released = target
 
-    def _synthesize_offline(self, t: int, edge: int) -> EdgeSlotOutcome:
-        return offline_outcome(t, edge, self._last_models.get(edge, -1))
-
-    def _count(self, outcome: EdgeSlotOutcome) -> None:
-        self._events_in.increment(outcome.arrivals)
-        if outcome.offline:
-            self._events_dropped_offline.increment(outcome.arrivals)
-        elif outcome.shed:
-            self._events_shed.increment(outcome.arrivals)
-        else:
-            self._events_served.increment(outcome.served)
-
     def _slot_complete(self, t: int) -> bool:
         bucket = self._pending.get(t, {})
         for e in range(self.num_edges):
@@ -1470,63 +1282,36 @@ class ShardRuntime:
         return True
 
     def _fold_ready(self) -> None:
-        """Fold every slot whose outcomes (or death synthesis) are complete."""
+        """Fold every slot whose outcomes (or death synthesis) are complete.
+
+        Parent-synthesized offline outcomes (degraded shards) carry no
+        ingress payload and need none: their requests were never
+        generated, so ``requests_in`` never saw them and the request
+        identity is waived while any worker is degraded (mirrors the
+        ``total_events`` leg of the soak gate).
+        """
         observe = self._on_stage_sample
         while self.completed_slot < self._stop_slot - 1:
             t = self.completed_slot + 1
             if not self._slot_complete(t):
                 return
             bucket = self._pending.pop(t, {})
-            outcomes = []
-            for e in range(self.num_edges):
-                outcome = bucket.get(e)
-                if outcome is None:
-                    outcome = self._synthesize_offline(t, e)
-                self._count(outcome)
-                outcomes.append(outcome)
-            if self.ingress is not None:
-                self._merge_ingress(t, observe)
-            fold_start = time.monotonic()
-            self.aggregator.fold(t, outcomes)
-            folded = time.monotonic()
-            if observe is not None:
-                observe("trade", folded - fold_start)
-                released_at = self._release_ts.pop(t, None)
-                if released_at is not None:
-                    observe("slot", folded - released_at)
-            else:
-                self._release_ts.pop(t, None)
-            self.completed_slot = t
-            self._slots_completed.increment()
+            outcomes = [
+                bucket[e]
+                if e in bucket
+                else offline_outcome(t, e, self._last_models.get(e, -1))
+                for e in range(self.num_edges)
+            ]
+            self._fold(t, outcomes, self._pending_ingress.pop(t, None), observe)
+            released_at = self._release_ts.pop(t, None)
+            if observe is not None and released_at is not None:
+                observe("slot", time.monotonic() - released_at)
             every = self.config.snapshot_every
             if every and (t + 1) % every == 0 and t + 1 < self.horizon:
                 self._take_snapshot(t)
             if self._barriers and self._barriers[0] == t + 1:
                 self._apply_reconfig(self._barriers.pop(0))
             self._release_through(self._release_target_for(t))
-
-    def _merge_ingress(self, t: int, observe) -> None:
-        """Fold slot ``t``'s resolved request stats into the run accounting.
-
-        Runs exactly once per folded slot.  Parent-synthesized offline
-        outcomes (degraded shards) carry no payload and need none: their
-        requests were never generated, so ``requests_in`` never saw them
-        and the accounting identity is waived while any worker is degraded
-        (mirrors the ``total_events`` leg of the soak gate).  Deferral wait
-        samples feed the ``on_stage_sample`` seam in units of *slots*.
-        """
-        assert self.ingress is not None
-        for _, payload in sorted(self._pending_ingress.pop(t, {}).items()):
-            self.ingress.absorb(payload)
-            self._requests_in.increment(payload["in"])
-            self._requests_dropped.increment(payload["dropped"])
-            self._requests_deferred.increment(payload["deferred"])
-            self._deadline_hits.increment(payload["hits"])
-            self._deadline_misses.increment(payload["misses"])
-            if observe is not None:
-                for wait, count in sorted(payload["waits"].items()):
-                    for _ in range(count):
-                        observe("deferral", float(wait))
 
     def _take_snapshot(self, t: int) -> None:
         """Gather worker states at the quiescent boundary, persist one file.
@@ -1579,26 +1364,23 @@ class ShardRuntime:
                 f"snapshot at slot {t + 1} is missing state for edges "
                 f"{missing}; a worker exited before answering"
             )
-        state = {
-            "label": self.label,
-            "config": self.config.to_dict(),
-            "next_slot": t + 1,
-            "edges": edges,
-            "adapters": adapters,
-            "trading": self.trading_kernel.state_dict(),
-            "arrays": self.aggregator.partial_arrays(t + 1),
-        }
-        path = self.config.snapshot_path
-        assert path is not None  # enforced by ServeConfig validation
-        save_snapshot(path, state)
-        self._snapshots_taken.increment()
-        if self.tracer.enabled:
-            self.tracer.emit(SnapshotEvent(t=t, path=str(path)))
+        self._save_snapshot(t, self._snapshot_state(t + 1, edges, adapters))
 
 
 # --------------------------------------------------------------------------
 # Dispatchers
 # --------------------------------------------------------------------------
+
+
+def _is_sharded(config: ServeConfig, shard_kwargs: dict) -> bool:
+    """Whether a run needs the sharded supervisor.
+
+    Chaos and reconfig plans are shard-runtime features: passing either
+    forces the sharded supervisor even for a single worker.
+    """
+    return config.num_workers > 1 or any(
+        shard_kwargs.get(key) is not None for key in ("chaos", "reconfig")
+    )
 
 
 def make_runtime(
@@ -1608,15 +1390,8 @@ def make_runtime(
     faults: FaultPlan | None = None,
     **shard_kwargs,
 ) -> ServeRuntime | ShardRuntime:
-    """The runtime matching ``config.num_workers`` (1 = in-process).
-
-    Chaos and reconfig plans are shard-runtime features: passing either
-    forces the sharded supervisor even for a single worker.
-    """
-    sharded = config.num_workers > 1 or any(
-        shard_kwargs.get(key) is not None for key in ("chaos", "reconfig")
-    )
-    if sharded:
+    """The runtime matching ``config.num_workers`` (1 = in-process)."""
+    if _is_sharded(config, shard_kwargs):
         return ShardRuntime(config, tracer=tracer, faults=faults, **shard_kwargs)
     return ServeRuntime(config, tracer=tracer, faults=faults)
 
@@ -1629,12 +1404,8 @@ def runtime_from_snapshot(
     **shard_kwargs,
 ) -> ServeRuntime | ShardRuntime:
     """Resume whichever runtime class the snapshot's config asks for."""
-    state = load_snapshot(path)
-    config = ServeConfig.from_dict(state["config"])
-    sharded = config.num_workers > 1 or any(
-        shard_kwargs.get(key) is not None for key in ("chaos", "reconfig")
-    )
-    if sharded:
+    config = ServeConfig.from_dict(load_snapshot(path)["config"])
+    if _is_sharded(config, shard_kwargs):
         return ShardRuntime.from_snapshot(
             path, tracer=tracer, faults=faults, **shard_kwargs
         )

@@ -393,7 +393,10 @@ def run_soak(
     stats = {stage: StageStats() for stage in tracked}
 
     def observe(stage: str, seconds: float) -> None:
-        stats.setdefault(stage, StageStats()).observe(seconds)
+        stage_stats = stats.get(stage)
+        if stage_stats is None:
+            stage_stats = stats[stage] = StageStats()
+        stage_stats.observe(seconds)
 
     tracer = Tracer()  # fresh counters per run; no event sinks
     runtime = ShardRuntime(

@@ -130,51 +130,43 @@ class TestClocksAndQueues:
         async def scenario():
             clock = WallClock(0.01)
             await clock.release(5)
+            assert not clock.due(0)  # the first pace fixes the origin
             loop = asyncio.get_running_loop()
             start = loop.time()
             await clock.pace(0)
             await clock.pace(3)
+            assert clock.due(3) and not clock.due(1000)
             return loop.time() - start
 
         assert asyncio.run(scenario()) >= 0.025
 
-    def test_queue_blocks_until_room_and_preserves_fifo(self):
-        async def scenario():
-            queue = BoundedWorkQueue(10)
-            await queue.put(WorkItem(t=0, count=6))
-            blocked = asyncio.create_task(queue.put(WorkItem(t=1, count=6)))
-            await asyncio.sleep(0)
-            assert not blocked.done()
-            first = await queue.get()
-            await blocked
-            second = await queue.get()
-            return first.t, second.t, queue.depth_items
-
-        assert asyncio.run(scenario()) == (0, 1, 0)
+    def test_queue_preserves_fifo(self):
+        queue = BoundedWorkQueue(10)
+        assert queue.put(WorkItem(t=0, count=4))
+        assert queue.put(WorkItem(t=1, count=4))
+        assert queue.put(WorkItem(t=2, count=9, shed=True))
+        assert [queue.get().t for _ in range(3)] == [0, 1, 2]
+        assert (queue.depth_items, queue.depth_events) == (0, 0)
+        with pytest.raises(IndexError):
+            queue.get()
 
     def test_nonblocking_put_rejects_and_counts(self):
-        async def scenario():
-            queue = BoundedWorkQueue(10)
-            await queue.put(WorkItem(t=0, count=6))
-            admitted = await queue.put(WorkItem(t=1, count=6), block=False)
-            assert not admitted and queue.stats.rejected == 1
-            # shed markers weigh nothing and always fit
-            assert await queue.put(
-                WorkItem(t=1, count=6, shed=True), block=False
-            )
-            return queue.depth_events
-
-        assert asyncio.run(scenario()) == 6
+        queue = BoundedWorkQueue(10)
+        assert queue.put(WorkItem(t=0, count=6))
+        assert not queue.fits(WorkItem(t=1, count=6))
+        assert queue.stats.rejected == 0  # asking is not rejecting
+        admitted = queue.put(WorkItem(t=1, count=6))
+        assert not admitted and queue.stats.rejected == 1
+        # shed markers weigh nothing and always fit
+        assert queue.put(WorkItem(t=1, count=6, shed=True))
+        assert queue.depth_events == 6
 
     def test_oversized_burst_admitted_only_when_empty(self):
-        async def scenario():
-            queue = BoundedWorkQueue(4)
-            assert await queue.put(WorkItem(t=0, count=50), block=False)
-            assert not await queue.put(WorkItem(t=1, count=1), block=False)
-            await queue.get()
-            assert await queue.put(WorkItem(t=1, count=1), block=False)
-
-        asyncio.run(scenario())
+        queue = BoundedWorkQueue(4)
+        assert queue.put(WorkItem(t=0, count=50))
+        assert not queue.put(WorkItem(t=1, count=1))
+        queue.get()
+        assert queue.put(WorkItem(t=1, count=1))
 
     def test_queue_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -368,42 +360,52 @@ class TestSnapshotRestore:
         assert counters["serve/snapshots"] == 4
 
 
+def _load_smoke_config(num_workers):
+    scenario = ScenarioConfig(
+        dataset="synthetic",
+        num_edges=8,
+        horizon=100,
+        num_models=4,
+        n_test=400,
+        seed=3,
+    )
+    return ServeConfig(
+        scenario=scenario,
+        seed=3,
+        virtual_clock=False,
+        slot_duration=0.0,
+        backpressure="shed",
+        queue_capacity=64,
+        pipeline_depth=8,
+        num_workers=num_workers,
+    )
+
+
+def _assert_all_accounted(runtime, tracer, result):
+    counters = tracer.metrics_snapshot()["counters"]
+    events_in = counters["serve/events_in"]
+    assert events_in >= 10_000
+    accounted = (
+        counters.get("serve/events_served", 0)
+        + counters.get("serve/events_shed", 0)
+        + counters.get("serve/events_dropped_offline", 0)
+    )
+    assert events_in == accounted, "events leaked from the accounting"
+    assert counters["serve/slots_completed"] == runtime.horizon
+    assert counters["serve/events_served"] == int(result.arrivals.sum())
+    return counters
+
+
 class TestBackpressureLoad:
     def test_load_smoke_10k_events_8_edges_all_accounted(self, tmp_path):
         log = tmp_path / "load.jsonl"
-        scenario = ScenarioConfig(
-            dataset="synthetic",
-            num_edges=8,
-            horizon=100,
-            num_models=4,
-            n_test=400,
-            seed=3,
-        )
-        config = ServeConfig(
-            scenario=scenario,
-            seed=3,
-            virtual_clock=False,
-            slot_duration=0.0,
-            backpressure="shed",
-            queue_capacity=64,
-            pipeline_depth=8,
-        )
+        config = _load_smoke_config(num_workers=1)
         tracer = Tracer([JsonlSink(log)])
-        runtime = ServeRuntime(config, tracer=tracer)
+        runtime = make_runtime(config, tracer=tracer)
         result = runtime.run()
         tracer.close()
-
-        counters = tracer.metrics_snapshot()["counters"]
+        counters = _assert_all_accounted(runtime, tracer, result)
         events_in = counters["serve/events_in"]
-        assert events_in >= 10_000
-        accounted = (
-            counters.get("serve/events_served", 0)
-            + counters.get("serve/events_shed", 0)
-            + counters.get("serve/events_dropped_offline", 0)
-        )
-        assert events_in == accounted, "events leaked from the accounting"
-        assert counters["serve/slots_completed"] == scenario.horizon
-        assert counters["serve/events_served"] == int(result.arrivals.sum())
 
         # Queue depth stays bounded: above capacity only via the documented
         # single-oversized-burst admission on an empty queue.
@@ -423,6 +425,14 @@ class TestBackpressureLoad:
         assert traced_in == events_in
         assert traced_shed == counters.get("serve/events_shed", 0)
 
+    def test_load_smoke_two_workers_all_accounted(self):
+        # The same load through the sharded runtime: each worker runs the
+        # same slot loop over its shard, the parent counts the outcomes.
+        tracer = Tracer()
+        runtime = make_runtime(_load_smoke_config(num_workers=2), tracer=tracer)
+        assert isinstance(runtime, ShardRuntime)
+        _assert_all_accounted(runtime, tracer, runtime.run())
+
     def test_blocking_backpressure_sheds_nothing(self):
         scenario = ScenarioConfig(
             dataset="synthetic", num_edges=4, horizon=40, seed=2
@@ -439,6 +449,38 @@ class TestBackpressureLoad:
         counters = tracer.metrics_snapshot()["counters"]
         assert counters["serve/events_in"] == counters["serve/events_served"]
         assert counters.get("serve/events_shed", 0) == 0
+
+    def test_block_mode_admits_nothing_beyond_capacity(self, tmp_path):
+        # With eight slots in flight the queues hold several slots at once;
+        # capped at the largest single slot, block mode must hold draws
+        # back instead: no queue ever exceeds the cap, nothing is rejected
+        # or shed, and every event is served.
+        scenario = ScenarioConfig(
+            dataset="synthetic", num_edges=4, horizon=40, seed=2
+        )
+        config = ServeConfig(
+            scenario=scenario, seed=2, virtual_clock=False, pipeline_depth=8
+        )
+        log = tmp_path / "wide.jsonl"
+        tracer = Tracer([JsonlSink(log)])
+        wide = ServeRuntime(config, tracer=tracer)
+        wide.run()
+        tracer.close()
+        capacity = max(e.count for e in _read_arrivals(log))
+        assert max(q.stats.peak_events for q in wide.queues) > capacity
+
+        tracer = Tracer()
+        capped = ServeRuntime(
+            config.with_overrides(queue_capacity=capacity), tracer=tracer
+        )
+        result = capped.run()
+        counters = tracer.metrics_snapshot()["counters"]
+        assert counters.get("serve/events_shed", 0) == 0
+        assert counters["serve/events_in"] == counters["serve/events_served"]
+        for queue in capped.queues:
+            assert 0 < queue.stats.peak_events <= capacity
+            assert queue.stats.rejected == 0
+        assert result_digest(result) == result_digest(wide.result())
 
 
 def _read_arrivals(path):

@@ -248,6 +248,30 @@ class TestRunSoakProperties:
         for stage in ("queue", "serve", "trade", "slot"):
             assert report.stages[stage]["count"] > 0
 
+    def test_observer_builds_one_stage_stats_per_stage(self, monkeypatch):
+        # Each stage's sketches are built once and reused: a sample must
+        # not construct (and throw away) a fresh StageStats.
+        from repro.serve import soak
+
+        built = []
+
+        class CountingStageStats(soak.StageStats):
+            def __init__(self) -> None:
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(soak, "StageStats", CountingStageStats)
+        report = run_soak(
+            "constant",
+            num_edges=3,
+            num_workers=2,
+            horizon=16,
+            total_events=600,
+            seed=1,
+        )
+        assert report.stages["queue"]["count"] == 3 * 16
+        assert len(built) == len(report.stages)
+
     def test_shedding_still_balances_the_books(self):
         # A tiny queue under the spike shape must shed — and the equation
         # still has to hold exactly.
