@@ -4,7 +4,7 @@ The simulator accepts anything implementing the ``SelectionPolicy`` /
 ``TradingPolicy`` interfaces, and the policy registry makes new families
 first-class citizens: one ``@register_selection`` / ``@register_trading``
 decorator each, and they are available by name everywhere — ``repro.run``,
-``Simulator.from_names``, ``run_combo``, and the ``repro simulate`` /
+``Simulator.from_spec``, ``run_combo``, and the ``repro simulate`` /
 ``repro trace`` CLIs.  This example registers two simple custom families
 and benchmarks them against the paper's algorithms on the same scenario
 (common random numbers make the comparison exact):

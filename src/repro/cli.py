@@ -125,9 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--trading", choices=TRADING_NAMES, default="Ours")
     _add_scenario_options(trace)
     _add_shared_run_options(trace, "trace-output")
-    trace.add_argument("--output", dest="legacy_output", metavar="PATH",
-                       default=None,
-                       help="deprecated alias of --trace-output")
     trace.add_argument("--summary", action="store_true",
                        help="print per-type event counts after the run")
     trace.add_argument("--edge", type=int, default=None, metavar="I",
@@ -387,12 +384,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     if args.replay is not None:
         return _cmd_trace_replay(args)
-
-    if args.legacy_output is not None:
-        print("repro trace --output is deprecated; use --trace-output",
-              file=sys.stderr)
-        if args.trace_output is None:
-            args.trace_output = args.legacy_output
 
     config = ScenarioConfig(
         dataset=args.dataset,

@@ -1,6 +1,6 @@
 """Decorator-based registries: names -> policy builders.
 
-This is the construction API behind ``Simulator.from_names``, ``repro.run``,
+This is the construction API behind ``Simulator.from_spec``, ``repro.run``,
 the experiment runner, and the CLI's ``--selection`` / ``--trading``
 choices.  A *builder* is a plain function calibrating a policy family to a
 scenario:

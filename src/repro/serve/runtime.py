@@ -9,10 +9,11 @@ Topology (one run):
   slot of every edge in edge order through its
   :class:`~repro.sim.kernel.EdgeSlotKernel` (the Algorithm-1
   select/observe loop), and hands the slot's batch to a callback;
-* the callback **folds** the batch: it aggregates system emissions in
-  edge order, drives the :class:`~repro.sim.kernel.TradingSlotKernel`
-  (Algorithm 2 + market + ledger), persists snapshots at quiescent slot
-  boundaries, and releases further slots on the configured clock.
+* the callback **folds** the batch through the simulator's own
+  :class:`~repro.sim.kernel.SlotAggregator` (edge-order sums, then one
+  :class:`~repro.sim.kernel.TradingSlotKernel` step: Algorithm 2 + market
+  + ledger), persists snapshots at quiescent slot boundaries, and releases
+  further slots on the configured clock.
 
 Edges couple only through the trading ledger, so serving one slot is a
 barrier: step every edge, fold in edge order, trade once.  The sharded
@@ -36,8 +37,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Awaitable, Callable, Mapping, Sequence
 
-import numpy as np
-
 from repro.faults.plan import FaultPlan
 from repro.obs.events import ArrivalEvent, QueueShedEvent, SlotStartEvent, SnapshotEvent
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -48,7 +47,12 @@ from repro.serve.http import StatusServer
 from repro.serve.load import make_load_grid
 from repro.serve.queues import BoundedWorkQueue, WorkItem
 from repro.serve.snapshot import load_snapshot, save_snapshot
-from repro.sim.kernel import EdgeSlotKernel, EdgeSlotOutcome, TradingSlotKernel
+from repro.sim.kernel import (
+    EdgeSlotKernel,
+    EdgeSlotOutcome,
+    SlotAggregator,
+    TradingSlotKernel,
+)
 from repro.sim.results import SimulationResult
 from repro.sim.scenario import Scenario, build_scenario
 from repro.sim.simulator import Simulator
@@ -59,44 +63,9 @@ __all__ = [
     "SlotAggregator",
     "SlotBatch",
     "build_serve_kernels",
-    "offline_outcome",
     "serve_edges",
     "serve_run",
 ]
-
-#: Zero-cost field values for synthesized offline outcomes.
-_OFFLINE_COSTS = dict(
-    expected_loss=0.0,
-    slot_loss=0.0,
-    latency=0.0,
-    switch_cost=0.0,
-    emissions_kg=0.0,
-    correct=0.0,
-)
-
-
-def offline_outcome(
-    t: int, edge: int, model: int, *, arrivals: int = 0
-) -> EdgeSlotOutcome:
-    """A zero-cost offline outcome for an edge that served nothing at ``t``.
-
-    The shared synthesis used for dead shards, inactive (reconfigured-out)
-    edges, and worker-side offline replay after a restart: ``arrivals`` are
-    counted as dropped-offline so the accounting equation
-    ``in == served + shed + offline`` stays exact.
-    """
-    return EdgeSlotOutcome(
-        t=t,
-        edge=edge,
-        model=int(model),
-        switched=False,
-        offline=True,
-        shed=False,
-        arrivals=int(arrivals),
-        served=0,
-        **_OFFLINE_COSTS,
-    )
-
 
 def build_serve_kernels(
     config: ServeConfig,
@@ -155,104 +124,6 @@ def build_serve_kernels(
             tracer=tracer,
         )
     return scenario, adapters, edge_kernels, trading_kernel
-
-
-class SlotAggregator:
-    """The per-slot edge-order fold into result arrays plus the trade step.
-
-    Shared so the in-process runtime and the sharded parent aggregate
-    *identically*: outcomes are folded in global
-    edge order (the simulator's float-summation order), then the trading
-    kernel steps once on the slot's system emissions.  Holds the result
-    arrays, their snapshot/restore halves, and the final
-    :class:`SimulationResult` assembly.
-    """
-
-    def __init__(self, scenario: Scenario, trading_kernel: TradingSlotKernel) -> None:
-        self.scenario = scenario
-        self.trading_kernel = trading_kernel
-        horizon, num_edges = scenario.horizon, scenario.num_edges
-        self.arrays: dict[str, np.ndarray] = {
-            "expected_inference": np.zeros(horizon),
-            "realized_loss": np.zeros(horizon),
-            "compute_cost": np.zeros(horizon),
-            "switching_cost": np.zeros(horizon),
-            "emissions": np.zeros(horizon),
-            "bought": np.zeros(horizon),
-            "sold": np.zeros(horizon),
-            "trading_cost": np.zeros(horizon),
-            "arrivals_total": np.zeros(horizon),
-            "accuracy": np.zeros(horizon),
-            "selections": np.zeros((horizon, num_edges), dtype=int),
-            "switches": np.zeros((horizon, num_edges), dtype=bool),
-        }
-
-    def fold(self, t: int, outcomes: list[EdgeSlotOutcome]) -> None:
-        """Fold slot ``t``'s outcomes (edge order) and step the trading kernel."""
-        arrays = self.arrays
-        slot_emissions = 0.0
-        slot_correct = 0.0
-        slot_arrivals = 0
-        for i, outcome in enumerate(outcomes):
-            arrays["selections"][t, i] = outcome.model
-            arrays["switches"][t, i] = outcome.switched
-            if outcome.offline:
-                continue
-            arrays["expected_inference"][t] += outcome.expected_loss
-            arrays["realized_loss"][t] += outcome.slot_loss
-            arrays["compute_cost"][t] += outcome.latency
-            if outcome.switched:
-                arrays["switching_cost"][t] += outcome.switch_cost
-            slot_emissions += outcome.emissions_kg
-            slot_correct += outcome.correct
-            slot_arrivals += outcome.served
-
-        arrays["emissions"][t] = slot_emissions
-        arrays["arrivals_total"][t] = slot_arrivals
-        arrays["accuracy"][t] = (
-            slot_correct / slot_arrivals if slot_arrivals else np.nan
-        )
-        (
-            arrays["bought"][t],
-            arrays["sold"][t],
-            arrays["trading_cost"][t],
-        ) = self.trading_kernel.step(t, slot_emissions)
-
-    def partial_arrays(self, next_slot: int) -> dict[str, np.ndarray]:
-        """Snapshot copies of the arrays' completed prefix."""
-        return {
-            name: array[:next_slot].copy()
-            for name, array in self.arrays.items()
-        }
-
-    def load_arrays(self, saved: dict[str, np.ndarray]) -> None:
-        """Restore the completed prefix captured by :meth:`partial_arrays`."""
-        for name, prefix in saved.items():
-            self.arrays[name][: len(prefix)] = prefix
-
-    def result(self, label: str) -> SimulationResult:
-        """Assemble the completed run's :class:`SimulationResult`."""
-        scenario, arrays = self.scenario, self.arrays
-        return SimulationResult(
-            label=label,
-            horizon=scenario.horizon,
-            num_edges=scenario.num_edges,
-            carbon_cap=scenario.config.carbon_cap_kg,
-            expected_inference_cost=arrays["expected_inference"],
-            realized_inference_loss=arrays["realized_loss"],
-            compute_cost=arrays["compute_cost"],
-            switching_cost=arrays["switching_cost"],
-            emissions=arrays["emissions"],
-            bought=arrays["bought"],
-            sold=arrays["sold"],
-            trading_cost=arrays["trading_cost"],
-            buy_prices=scenario.prices.buy.copy(),
-            sell_prices=scenario.prices.sell.copy(),
-            arrivals=arrays["arrivals_total"],
-            accuracy=arrays["accuracy"],
-            selections=arrays["selections"],
-            switches=arrays["switches"],
-        )
 
 
 @dataclass

@@ -17,9 +17,9 @@ Determinism: every worker rebuilds the *full* kernel set from the shared
 RNG stream contract (:func:`~repro.serve.runtime.build_serve_kernels`) —
 and steps only its own edges, whose streams are independent of everyone
 else's.  The parent folds outcome batches in global edge order through the
-same :class:`~repro.serve.runtime.SlotAggregator` the in-process runtime
-uses, so a sharded virtual-clock run is bit-identical to ``Simulator.run``
-and is locked against the same golden digests.
+same :class:`~repro.sim.kernel.SlotAggregator` the in-process runtime and
+the simulator use, so a sharded virtual-clock run is bit-identical to
+``Simulator.run`` and is locked against the same golden digests.
 
 Worker death: the parent multiplexes pipe reads and process sentinels in
 one ``multiprocessing.connection.wait`` call, so a crashed worker surfaces
@@ -107,11 +107,10 @@ from repro.serve.runtime import (
     SlotBatch,
     _BaseRuntime,
     build_serve_kernels,
-    offline_outcome,
     serve_edges,
 )
 from repro.serve.snapshot import load_snapshot
-from repro.sim.kernel import EdgeSlotOutcome
+from repro.sim.kernel import EdgeSlotOutcome, zero_cost_outcome
 from repro.sim.results import SimulationResult
 
 __all__ = [
@@ -1299,7 +1298,7 @@ class ShardRuntime(_BaseRuntime):
             outcomes = [
                 bucket[e]
                 if e in bucket
-                else offline_outcome(t, e, self._last_models.get(e, -1))
+                else zero_cost_outcome(t, e, self._last_models.get(e, -1))
                 for e in range(self.num_edges)
             ]
             self._fold(t, outcomes, self._pending_ingress.pop(t, None), observe)

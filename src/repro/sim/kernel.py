@@ -4,10 +4,16 @@ The per-edge inference step (Algorithm 1's select/observe cycle plus fault
 handling) and the system-level trading step (Algorithm 2's decide/observe
 cycle plus the ledger/market bookkeeping) live here as small stateful
 kernels.  :class:`~repro.sim.simulator.Simulator` drives them in a lockstep
-loop; :mod:`repro.serve` drives the same kernels from asyncio actor tasks.
-Because both runtimes execute the *same* code in the same floating-point
-operation order, the serve runtime's virtual-clock mode is bit-identical to
-``Simulator.run`` by construction (locked by the golden digests).
+loop; :mod:`repro.serve` drives the same kernels from one slot loop per
+shard (:func:`~repro.serve.runtime.serve_edges`).
+
+Every engine ends a slot the same way — sum the outcomes in edge order,
+then trade once — so that fold lives here exactly once, in
+:class:`SlotAggregator`, which also assembles the
+:class:`~repro.sim.results.SimulationResult`.  Because every runtime
+executes the *same* code in the same floating-point operation order, the
+serve runtime's virtual-clock mode is bit-identical to ``Simulator.run``
+by construction (locked by the golden digests).
 
 State is explicit: each kernel exposes ``state_dict()`` / ``load_state()``
 so a serve snapshot can capture a quiescent slot boundary and a restored
@@ -34,14 +40,17 @@ from repro.obs.events import (
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.policies.selection import SelectionPolicy
 from repro.policies.trading import TradeDecision, TradingContext, TradingPolicy
+from repro.sim.results import SimulationResult
 from repro.sim.scenario import Scenario
 
 __all__ = [
     "EdgeSlotKernel",
     "EdgeSlotOutcome",
+    "SlotAggregator",
     "TradingSlotKernel",
     "class_index_map",
     "draw_pool_indices",
+    "zero_cost_outcome",
 ]
 
 
@@ -109,14 +118,33 @@ class EdgeSlotOutcome:
     served: int
 
 
-_ZERO_COSTS = dict(
-    expected_loss=0.0,
-    slot_loss=0.0,
-    latency=0.0,
-    switch_cost=0.0,
-    emissions_kg=0.0,
-    correct=0.0,
-)
+def zero_cost_outcome(
+    t: int, edge: int, model: int, arrivals: int = 0, *, shed: bool = False
+) -> EdgeSlotOutcome:
+    """The outcome of a slot in which ``edge`` ran nothing.
+
+    ``shed=True`` marks a backpressure-shed slot, otherwise the slot is
+    offline (edge outage, restart replay, dead shard, or an edge
+    reconfigured out).  Either way ``arrivals`` are counted but none is
+    served, so ``in == served + shed + offline`` stays exact, and every
+    cost is zero.
+    """
+    return EdgeSlotOutcome(
+        t=t,
+        edge=edge,
+        model=int(model),
+        switched=False,
+        offline=not shed,
+        shed=shed,
+        expected_loss=0.0,
+        slot_loss=0.0,
+        latency=0.0,
+        switch_cost=0.0,
+        emissions_kg=0.0,
+        correct=0.0,
+        arrivals=int(arrivals),
+        served=0,
+    )
 
 
 class EdgeSlotKernel:
@@ -124,7 +152,7 @@ class EdgeSlotKernel:
 
     Owns everything the simulator used to keep per edge — the selection
     policy, the data-draw RNG stream, download-retry state, and the delayed
-    feedback queue — so the simulator loop and a serve actor task execute
+    feedback queue — so the simulator loop and the serve slot loop execute
     identical logic.
     """
 
@@ -184,11 +212,7 @@ class EdgeSlotKernel:
             # accounting consistent by routing the slot through the lost-
             # feedback path (blocks must still close on schedule).
             policy.observe_lost(t, model)
-            return EdgeSlotOutcome(
-                t=t, edge=self.edge, model=int(model), switched=False,
-                offline=False, shed=True, arrivals=int(count), served=0,
-                **_ZERO_COSTS,
-            )
+            return zero_cost_outcome(t, self.edge, model, count, shed=True)
 
         injector = self.injector
         if injector is not None and injector.edge_offline(t, self.edge):
@@ -205,11 +229,7 @@ class EdgeSlotKernel:
                 tracer.emit(
                     FaultInjectedEvent(t=t, kind="edge_outage", edge=self.edge)
                 )
-            return EdgeSlotOutcome(
-                t=t, edge=self.edge, model=int(model), switched=False,
-                offline=True, shed=False, arrivals=int(count), served=0,
-                **_ZERO_COSTS,
-            )
+            return zero_cost_outcome(t, self.edge, model, count)
 
         # Resolve which model actually serves this slot: a switch requires a
         # download, which fault plans can fail — the edge then keeps its
@@ -326,11 +346,7 @@ class EdgeSlotKernel:
         """
         model = self.policy.select(t)
         self.policy.observe_lost(t, model)
-        return EdgeSlotOutcome(
-            t=t, edge=self.edge, model=int(model), switched=False,
-            offline=True, shed=False, arrivals=int(count), served=0,
-            **_ZERO_COSTS,
-        )
+        return zero_cost_outcome(t, self.edge, model, count)
 
     def deliver_due(self, due_slot: int) -> None:
         """Deliver all queued slot losses whose slot is <= ``due_slot``."""
@@ -552,3 +568,110 @@ class TradingSlotKernel:
         self.emissions_sum = float(state["emissions_sum"])
         # Absent in snapshots written before live reconfiguration existed.
         self.fleet_scale = float(state.get("fleet_scale", 1.0))
+
+
+class SlotAggregator:
+    """The one slot fold: edge-order sums into result arrays, then the trade.
+
+    Edges couple only through Algorithm 2's per-slot trade on the summed
+    emissions, so every engine ends a slot the same way: sum the slot's
+    outcomes in global edge order (the float-summation order the golden
+    digests pin), then step the trading kernel once.  The scalar simulator
+    loop, the in-process serve runtime and the sharded parent all call
+    :meth:`fold`; the vectorized fast path fills :attr:`arrays` in place
+    with the same per-slot addition sequence.  Also holds the arrays'
+    snapshot/restore halves and the one :class:`SimulationResult` assembly.
+    """
+
+    def __init__(self, scenario: Scenario, trading_kernel: TradingSlotKernel) -> None:
+        self.scenario = scenario
+        self.trading_kernel = trading_kernel
+        horizon, num_edges = scenario.horizon, scenario.num_edges
+        self.arrays: dict[str, np.ndarray] = {
+            "expected_inference": np.zeros(horizon),
+            "realized_loss": np.zeros(horizon),
+            "compute_cost": np.zeros(horizon),
+            "switching_cost": np.zeros(horizon),
+            "emissions": np.zeros(horizon),
+            "bought": np.zeros(horizon),
+            "sold": np.zeros(horizon),
+            "trading_cost": np.zeros(horizon),
+            "arrivals_total": np.zeros(horizon),
+            "accuracy": np.zeros(horizon),
+            "selections": np.zeros((horizon, num_edges), dtype=int),
+            "switches": np.zeros((horizon, num_edges), dtype=bool),
+        }
+
+    def fold(self, t: int, outcomes: list[EdgeSlotOutcome]) -> None:
+        """Fold slot ``t``'s outcomes (one per edge, edge order) and trade once.
+
+        Sums run as Python floats from ``0.0``, the same IEEE additions in
+        the same order as accumulating into the zeroed slot cells.
+        """
+        arrays = self.arrays
+        expected = realized = compute = switching = 0.0
+        slot_emissions = slot_correct = 0.0
+        slot_arrivals = 0
+        for outcome in outcomes:
+            if outcome.offline:
+                continue
+            expected += outcome.expected_loss
+            realized += outcome.slot_loss
+            compute += outcome.latency
+            if outcome.switched:
+                switching += outcome.switch_cost
+            slot_emissions += outcome.emissions_kg
+            slot_correct += outcome.correct
+            slot_arrivals += outcome.served
+        arrays["selections"][t] = [outcome.model for outcome in outcomes]
+        arrays["switches"][t] = [outcome.switched for outcome in outcomes]
+        arrays["expected_inference"][t] = expected
+        arrays["realized_loss"][t] = realized
+        arrays["compute_cost"][t] = compute
+        arrays["switching_cost"][t] = switching
+        arrays["emissions"][t] = slot_emissions
+        arrays["arrivals_total"][t] = slot_arrivals
+        arrays["accuracy"][t] = (
+            slot_correct / slot_arrivals if slot_arrivals else np.nan
+        )
+        (
+            arrays["bought"][t],
+            arrays["sold"][t],
+            arrays["trading_cost"][t],
+        ) = self.trading_kernel.step(t, slot_emissions)
+
+    def partial_arrays(self, next_slot: int) -> dict[str, np.ndarray]:
+        """Snapshot copies of the arrays' completed prefix."""
+        return {
+            name: array[:next_slot].copy()
+            for name, array in self.arrays.items()
+        }
+
+    def load_arrays(self, saved: dict[str, np.ndarray]) -> None:
+        """Restore the completed prefix captured by :meth:`partial_arrays`."""
+        for name, prefix in saved.items():
+            self.arrays[name][: len(prefix)] = prefix
+
+    def result(self, label: str) -> SimulationResult:
+        """Assemble the completed run's :class:`SimulationResult`."""
+        scenario, arrays = self.scenario, self.arrays
+        return SimulationResult(
+            label=label,
+            horizon=scenario.horizon,
+            num_edges=scenario.num_edges,
+            carbon_cap=scenario.config.carbon_cap_kg,
+            expected_inference_cost=arrays["expected_inference"],
+            realized_inference_loss=arrays["realized_loss"],
+            compute_cost=arrays["compute_cost"],
+            switching_cost=arrays["switching_cost"],
+            emissions=arrays["emissions"],
+            bought=arrays["bought"],
+            sold=arrays["sold"],
+            trading_cost=arrays["trading_cost"],
+            buy_prices=scenario.prices.buy.copy(),
+            sell_prices=scenario.prices.sell.copy(),
+            arrivals=arrays["arrivals_total"],
+            accuracy=arrays["accuracy"],
+            selections=arrays["selections"],
+            switches=arrays["switches"],
+        )

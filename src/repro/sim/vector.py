@@ -68,7 +68,7 @@ from repro.core.tsallis import (
     tsallis_inf_probabilities_batch,
 )
 from repro.nn.losses import squared_label_loss
-from repro.sim.kernel import draw_pool_indices
+from repro.sim.kernel import SlotAggregator, draw_pool_indices
 from repro.sim.results import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -149,7 +149,6 @@ def _open_blocks(
 def run_vectorized(sim: "Simulator") -> SimulationResult:
     """Execute ``sim`` on the fast path; bit-identical to the scalar loop."""
     scenario = sim.scenario
-    cfg = scenario.config
     horizon, num_edges = scenario.horizon, scenario.num_edges
 
     arrival_processes, edge_kernels, trading_kernel = sim.build_kernels()
@@ -229,7 +228,11 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
     open_groups = _block_open_slots(policies)
     blockwise = all(type(policy) is OnlineModelSelection for policy in policies)
 
-    selections = np.zeros((horizon, num_edges), dtype=int)
+    # Results land directly in the aggregator's arrays (the fold's own
+    # storage), so the run ends with the one result assembly.
+    aggregator = SlotAggregator(scenario, trading_kernel)
+    arrays = aggregator.arrays
+    selections = arrays["selections"]
     loss_mat = np.empty((num_edges, horizon))
     correct_mat = np.empty((num_edges, horizon))
     loss_rows = [loss_mat[i] for i in range(num_edges)]
@@ -321,19 +324,18 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
     previous = np.vstack(
         [np.full((1, num_edges), -1, dtype=selections.dtype), selections[:-1]]
     )
-    switches = selections != previous
+    switches = np.not_equal(selections, previous, out=arrays["switches"])
     emissions_mat = energy.slot_emissions_kg_batch(
         selections,
         counts_mat.T,
         switches,
         transfer_table[edge_range, selections],
     )
-    emissions = np.zeros(horizon)
-    bought = np.zeros(horizon)
-    sold = np.zeros(horizon)
-    trading_cost = np.zeros(horizon)
+    emissions = arrays["emissions"]
+    bought, sold = arrays["bought"], arrays["sold"]
+    trading_cost = arrays["trading_cost"]
     trading_step = trading_kernel.step
-    # The scalar loop accumulates slot emissions edge by edge as Python
+    # The scalar fold accumulates slot emissions edge by edge as Python
     # floats; replay that exact addition sequence.
     for t, row in enumerate(emissions_mat.tolist()):
         slot_emissions = 0.0
@@ -344,41 +346,17 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
 
     # Cross-edge per-slot accumulation, vectorized over slots but iterated
     # in ascending edge order — the same addition sequence per slot as the
-    # scalar loop's ``acc[t] += outcome.<field>``.
-    expected_inference = np.zeros(horizon)
-    realized_loss = np.zeros(horizon)
-    compute_cost = np.zeros(horizon)
-    switching_cost = np.zeros(horizon)
+    # scalar fold's running per-field sums.
     correct_acc = np.zeros(horizon)
-    arrivals_total = np.zeros(horizon)
+    arrivals_total = arrays["arrivals_total"]
     for i in range(num_edges):
         chosen = selections[:, i]
-        expected_inference += expected_losses[chosen]
-        realized_loss += loss_mat[i]
-        compute_cost += latencies[i][chosen]
-        switching_cost += np.where(switches[:, i], switch_costs[i], 0.0)
+        arrays["expected_inference"] += expected_losses[chosen]
+        arrays["realized_loss"] += loss_mat[i]
+        arrays["compute_cost"] += latencies[i][chosen]
+        arrays["switching_cost"] += np.where(switches[:, i], switch_costs[i], 0.0)
         correct_acc += correct_mat[i]
         arrivals_total += counts_mat[i]
     # Arrival counts are truncated below at 1, so every slot serves work.
-    accuracy = correct_acc / arrivals_total
-
-    return SimulationResult(
-        label=sim.label,
-        horizon=horizon,
-        num_edges=num_edges,
-        carbon_cap=cfg.carbon_cap_kg,
-        expected_inference_cost=expected_inference,
-        realized_inference_loss=realized_loss,
-        compute_cost=compute_cost,
-        switching_cost=switching_cost,
-        emissions=emissions,
-        bought=bought,
-        sold=sold,
-        trading_cost=trading_cost,
-        buy_prices=scenario.prices.buy.copy(),
-        sell_prices=scenario.prices.sell.copy(),
-        arrivals=arrivals_total,
-        accuracy=accuracy,
-        selections=selections,
-        switches=switches,
-    )
+    np.divide(correct_acc, arrivals_total, out=arrays["accuracy"])
+    return aggregator.result(sim.label)

@@ -146,19 +146,6 @@ def test_run_rejects_keywords_alongside_spec():
         repro.run(_spec(), seed=1)
 
 
-def test_simulator_from_names_warns_and_matches_from_spec():
-    from repro.sim.io import result_digest
-
-    spec = _spec(scenario=repro.ScenarioConfig(num_edges=2, horizon=12))
-    scenario = spec.build_scenario()
-    via_spec = repro.Simulator.from_spec(scenario, spec).run()
-    with pytest.warns(DeprecationWarning, match="from_names is deprecated"):
-        sim = repro.Simulator.from_names(
-            scenario, "Ours", "Ours", seed=3
-        )
-    assert result_digest(sim.run()) == result_digest(via_spec)
-
-
 def test_engine_run_many_warns_and_run_specs_does_not():
     import warnings
 

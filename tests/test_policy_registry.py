@@ -3,7 +3,7 @@
 Covers the registration contract (duplicates raise, unknown names list the
 registered vocabulary), the live name views mirroring the historical
 tuples, and the construction surface built on the registry —
-``Simulator.from_names`` and ``repro.run``.
+``Simulator.from_spec`` and ``repro.run``.
 """
 
 import pytest
@@ -23,6 +23,7 @@ from repro.policies.registry import _SELECTION, _TRADING
 from repro.policies.selection import SelectionPolicy
 from repro.policies.trading import TradeDecision, TradingPolicy
 from repro.sim import ScenarioConfig, Scenario, Simulator, build_scenario
+from repro.spec import RunSpec
 from repro.utils.rng import RngFactory
 
 
@@ -129,13 +130,14 @@ class TestRegistration:
 
 class TestRunApis:
     def test_from_names_runs(self, scenario):
-        result = Simulator.from_names(scenario, "Greedy", "Null", seed=3).run()
+        spec = RunSpec(selection="Greedy", trading="Null", seed=3)
+        result = Simulator.from_spec(scenario, spec).run()
         assert result.label == "Greedy-Null"
         assert result.selections.shape == (scenario.horizon, scenario.num_edges)
 
     def test_from_names_unknown_name(self, scenario):
         with pytest.raises(ValueError, match="unknown trading"):
-            Simulator.from_names(scenario, "Ours", "Nope")
+            Simulator.from_spec(scenario, RunSpec(trading="Nope"))
 
     def test_repro_run_accepts_scenario(self, scenario):
         result = repro.run(scenario, selection="Greedy", trading="Null", seed=3)
@@ -148,7 +150,7 @@ class TestRunApis:
 
     def test_repro_run_matches_from_names(self, scenario):
         via_run = repro.run(scenario, selection="Ours", trading="Ours", seed=5)
-        via_names = Simulator.from_names(scenario, "Ours", "Ours", seed=5).run()
+        via_names = Simulator.from_spec(scenario, RunSpec(seed=5)).run()
         assert (via_run.selections == via_names.selections).all()
         assert (via_run.trading_cost == via_names.trading_cost).all()
 

@@ -202,17 +202,49 @@ class TestVirtualClockParity:
         assert result_digest(traced) == GOLDEN_DIGESTS[("B", 1)]
 
     def test_label_delay_matches_simulator(self):
+        """Delayed labels and a five-kind fault plan, at 1 and 2 workers.
+
+        Every serve run must equal both the traced and the untraced
+        ``Simulator.run`` of the same spec.
+        """
+        from repro.faults.plan import (
+            DownloadFailure,
+            EdgeOutage,
+            FaultPlan,
+            FeedbackLoss,
+            MarketOutage,
+            TradeRejection,
+        )
         from repro.sim.scenario import build_scenario
         from repro.sim.simulator import Simulator
+        from repro.spec import RunSpec
 
+        five_kinds = FaultPlan(
+            (
+                EdgeOutage(edge=1, start=8, end=14),
+                FeedbackLoss(probability=0.2),
+                DownloadFailure(probability=0.3),
+                MarketOutage(start=20, end=24),
+                TradeRejection(probability=0.2),
+            )
+        )
         scenario = build_scenario(SCENARIO_CONFIGS["A"])
-        sim = Simulator.from_names(
-            scenario, "Ours", "Ours", seed=0, label="Ours-Ours", label_delay=3
-        ).run()
-        served = serve_run(serve_config("A", 0, label_delay=3))
-        assert result_digest(served) == result_digest(sim)
-        # and delayed feedback genuinely changes the trajectory
-        assert result_digest(served) != GOLDEN_DIGESTS[("A", 0)]
+        digests = {}
+        for delay, faults in ((3, FaultPlan()), (0, five_kinds), (3, five_kinds)):
+            spec = RunSpec(
+                seed=0, label="Ours-Ours", label_delay=delay, faults=faults
+            )
+            untraced = Simulator.from_spec(scenario, spec).run()
+            traced = Simulator.from_spec(scenario, spec, tracer=Tracer()).run()
+            digest = result_digest(untraced)
+            assert result_digest(traced) == digest
+            for workers in (1, 2):
+                config = serve_config("A", 0, label_delay=delay, num_workers=workers)
+                served = make_runtime(config, faults=faults).run()
+                assert result_digest(served) == digest, (delay, faults, workers)
+            digests[delay, faults.is_empty] = digest
+        # delayed feedback and faults each genuinely change the trajectory
+        assert len(set(digests.values()) | {GOLDEN_DIGESTS[("A", 0)]}) == 4
 
 
 class TestShardedParity:
