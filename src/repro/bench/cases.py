@@ -11,7 +11,8 @@ Three suites cover the perf trajectory the vectorized engine is gated on:
 
 * ``simulator`` — end-to-end runs at I=10 and I=64, scalar reference loop
   vs the vectorized fast path (same :class:`~repro.spec.RunSpec`, same
-  digests), plus scenario construction;
+  digests), the I=64 run traced, faulted and label-delayed (the per-edge
+  loop every observed run takes), plus scenario construction;
 * ``core`` — the algorithmic kernels: scalar-vs-batch Tsallis-OMD solves,
   block-schedule construction, a full Algorithm-1 horizon;
 * ``nn`` — batched vs sample-at-a-time forward passes through the numpy
@@ -35,6 +36,7 @@ from repro.utils.rng import spawn_generator
 
 __all__ = [
     "BenchCase",
+    "INFORMATIONAL_RATIOS",
     "SUITE_NAMES",
     "derive_ratios",
     "run_case",
@@ -112,6 +114,8 @@ def _simulate_build(
     num_edges: int,
     vectorized: bool,
     spec_overrides: dict[str, object] | None = None,
+    *,
+    traced: bool = False,
 ) -> Callable[[], object]:
     from repro.sim.config import ScenarioConfig
     from repro.sim.simulator import Simulator
@@ -131,12 +135,40 @@ def _simulate_build(
 
     def thunk() -> object:
         # A fresh simulator per call: policies are stateful across a run.
-        sim = Simulator.from_spec(scenario, spec)
+        # A traced run gets a live tracer with no sinks: events are built
+        # and tallied, no I/O.
+        sim = Simulator.from_spec(scenario, spec, tracer=Tracer() if traced else None)
         result = sim.run(vectorized=vectorized)
         sim.tracer.close()
         return result
 
     return thunk
+
+
+def _observed_build() -> Callable[[], object]:
+    """The I=64 run with a live tracer, a five-kind fault plan and
+    ``label_delay=2``: any one of them keeps it on the per-edge loop."""
+    from repro.faults.plan import (
+        DownloadFailure,
+        EdgeOutage,
+        FaultPlan,
+        FeedbackLoss,
+        MarketOutage,
+        TradeRejection,
+    )
+
+    plan = FaultPlan(
+        (
+            EdgeOutage(edge=3, start=40, end=60),
+            FeedbackLoss(probability=0.05),
+            DownloadFailure(probability=0.1),
+            MarketOutage(start=80, end=90),
+            TradeRejection(probability=0.05),
+        )
+    )
+    return _simulate_build(
+        _LARGE_EDGES, False, {"faults": plan, "label_delay": 2}, traced=True
+    )
 
 
 def _scenario_build() -> Callable[[], object]:
@@ -190,6 +222,23 @@ def _simulator_cases(
                     meta=meta,
                 )
             )
+    if not spec_overrides:
+        cases.append(
+            BenchCase(
+                suite="simulator",
+                name=f"simulate_observed_i{_LARGE_EDGES}",
+                build=_observed_build,
+                work=float(_LARGE_EDGES * _HORIZON),
+                unit="slot-edges",
+                meta={
+                    "edges": _LARGE_EDGES,
+                    "horizon": _HORIZON,
+                    "engine": "scalar",
+                    "spec": "Ours-Ours seed 0 synthetic",
+                    "overrides": ["faults", "label_delay", "tracer"],
+                },
+            )
+        )
     return cases
 
 
@@ -345,12 +394,14 @@ _SUITE_BUILDERS: dict[str, Callable[[], list[BenchCase]]] = {
 #: Registered suite names, in canonical run order.
 SUITE_NAMES: tuple[str, ...] = tuple(_SUITE_BUILDERS)
 
-#: Ratio name -> (numerator case, denominator case); the gate enforces
-#: these machine-relative speedups even when fingerprints differ.
+#: Ratio name -> (numerator case, denominator case), as a ratio of wall
+#: times; the gate enforces these machine-relative speedups even when
+#: fingerprints differ.
 _RATIO_DEFS: dict[str, dict[str, tuple[str, str]]] = {
     "simulator": {
         "vectorized_speedup_i10": ("simulate_scalar_i10", "simulate_vectorized_i10"),
         "vectorized_speedup_i64": ("simulate_scalar_i64", "simulate_vectorized_i64"),
+        "observed_gap_i64": ("simulate_observed_i64", "simulate_vectorized_i64"),
     },
     "core": {
         "tsallis_batch_speedup": ("tsallis_scalar_64x6", "tsallis_batch_64x6"),
@@ -360,6 +411,14 @@ _RATIO_DEFS: dict[str, dict[str, tuple[str, str]]] = {
         "cnn_batch_speedup": ("cnn_per_sample", "cnn_batch64"),
     },
 }
+
+
+#: Ratios that are reported and compared but never gate.  The gate reads a
+#: ratio as a speedup (a fall is a regression); these read the other way.
+#: ``observed_gap_i64`` is how many times slower a traced, faulted,
+#: label-delayed run is than the untraced vectorized one (vectorized over
+#: observed throughput): lower is better.
+INFORMATIONAL_RATIOS: frozenset[str] = frozenset({"observed_gap_i64"})
 
 
 def suite_cases(

@@ -15,7 +15,12 @@ import argparse
 import os
 import sys
 
-from repro.bench.cases import SUITE_NAMES, run_suite, suite_cases
+from repro.bench.cases import (
+    INFORMATIONAL_RATIOS,
+    SUITE_NAMES,
+    run_suite,
+    suite_cases,
+)
 from repro.bench.report import (
     DEFAULT_RATIO_SLACK,
     DEFAULT_THRESHOLD,
@@ -127,6 +132,10 @@ def _check_suite(
             continue
         if comp.baseline_ratio is None:
             print(f"  new     ratio {comp.name}: {comp.current_ratio:.2f}x")
+            continue
+        if comp.name in INFORMATIONAL_RATIOS:
+            print(f"  info    {comp.name}: {comp.current_ratio:.2f}x "
+                  f"vs baseline {comp.baseline_ratio:.2f}x (not gated)")
             continue
         marker = "RATIO" if comp.regressed else "ok  "
         if comp.regressed:

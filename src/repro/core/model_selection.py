@@ -122,8 +122,9 @@ class OnlineModelSelection(SelectionPolicy):
     def pending_block(self, t: int) -> int | None:
         """The block ``select(t)`` would have to open, or ``None``.
 
-        Batch drivers (the vectorized simulator) use this to collect the
-        edges whose block boundaries coincide at slot ``t`` so a single
+        Every engine's slot loop uses this, through
+        :func:`~repro.sim.vector.batch_block_opens`, to collect the edges
+        whose block boundaries coincide at slot ``t`` so a single
         :func:`~repro.core.tsallis.tsallis_inf_probabilities_batch` call can
         solve all of their OMD steps at once.
         """
@@ -275,12 +276,14 @@ class OnlineModelSelection(SelectionPolicy):
 
         Under delayed feedback the cumulative estimates may still miss
         outstanding blocks — the distribution is simply computed from what
-        has arrived, the standard delayed-bandit semantics.
+        has arrived, the standard delayed-bandit semantics.  The solver
+        already ran the simplex postcondition, so the opening skips the
+        re-check.
         """
         probabilities = tsallis_inf_probabilities(
             self._estimator.cumulative, self.block_eta(block)
         )
-        self.open_block_with(block, t, probabilities)
+        self.open_block_with(block, t, probabilities, validated=True)
 
     def _close_block(self, record: _BlockRecord) -> None:
         """Lines 8-9: fold the complete block loss into the estimator.

@@ -79,10 +79,14 @@ def tsallis_inf_probabilities(cumulative_losses: np.ndarray, eta: float) -> np.n
     lo = float(losses.min()) - 2.0 * np.sqrt(n) / eta  # sum(p) <= 1 here
     hi = float(losses.min()) - 2.0 / eta  # sum(p) >= 1 here
 
+    # ``np.add.reduce`` is the reduction inside ``ndarray.sum``/``np.sum``
+    # (bit-identical) without their Python wrapper layers.
+    reduce_add = np.add.reduce
+
     def mass_and_derivative(x: float) -> tuple[float, float]:
         gaps = losses - x  # >= 2/eta > 0 on [lo, hi]
         p = 4.0 / (eta * gaps) ** 2
-        return float(p.sum()), float((8.0 / eta**2) * np.sum(gaps**-3))
+        return float(reduce_add(p)), float((8.0 / eta**2) * reduce_add(gaps**-3))
 
     x = 0.5 * (lo + hi)
     for _ in range(_MAX_ITER):
@@ -120,8 +124,9 @@ def tsallis_inf_probabilities_batch(
     (per-row bracket state, per-row convergence freezing), and NumPy's
     pairwise reduction over the last axis of a C-contiguous matrix performs
     the same addition sequence as the scalar solver's 1-D sums.  This is
-    what lets the vectorized simulator batch block openings across edges
-    without moving the golden digests.
+    what lets every engine batch block openings across edges
+    (:func:`repro.sim.vector.batch_block_opens`) without moving the golden
+    digests.
 
     Parameters
     ----------
@@ -157,32 +162,31 @@ def tsallis_inf_probabilities_batch(
     lo = row_min - 2.0 * np.sqrt(n) / etas
     hi = row_min - 2.0 / etas
     x = 0.5 * (lo + hi)
+    eta_column = etas[:, None]
+    slope = 8.0 / etas**2
     active = np.ones(num_rows, dtype=bool)
+    reduce_add = np.add.reduce
 
+    # Every row is evaluated each iteration, but only an active row's ``x``
+    # moves: the same per-element arithmetic as solving the active rows
+    # alone, without gathering and scattering them.  A frozen row's bracket
+    # may keep moving; it is never read again.
     for _ in range(_MAX_ITER):
-        rows = np.nonzero(active)[0]
-        if rows.size == 0:
-            break
-        sub = losses[rows]
-        sub_eta = etas[rows]
-        gaps = sub - x[rows, None]  # >= 2/eta > 0 on [lo, hi]
-        p = 4.0 / (sub_eta[:, None] * gaps) ** 2
-        mass = p.sum(axis=1)
-        derivative = (8.0 / sub_eta**2) * (gaps**-3).sum(axis=1)
+        gaps = losses - x[:, None]  # >= 2/eta > 0 on [lo, hi]
+        mass = reduce_add(4.0 / (eta_column * gaps) ** 2, axis=1)
+        derivative = slope * reduce_add(gaps**-3, axis=1)
         above = mass > 1.0
-        hi[rows[above]] = x[rows[above]]
-        lo[rows[~above]] = x[rows[~above]]
-        converged = np.abs(mass - 1.0) <= _TOL
-        stepping = ~converged
-        step = (mass - 1.0) / derivative
-        candidate = x[rows] - step
-        inside = (lo[rows] < candidate) & (candidate < hi[rows])
-        advanced = np.where(inside, candidate, 0.5 * (lo[rows] + hi[rows]))
-        x[rows[stepping]] = advanced[stepping]
-        collapsed = (hi[rows] - lo[rows]) <= _TOL * np.maximum(
-            1.0, np.abs(hi[rows])
-        )
-        active[rows[converged | (stepping & collapsed)]] = False
+        hi = np.where(above, x, hi)
+        lo = np.where(above, lo, x)
+        excess = mass - 1.0
+        moving = active & ~(np.abs(excess) <= _TOL)
+        candidate = x - excess / derivative
+        inside = (lo < candidate) & (candidate < hi)
+        x = np.where(moving, np.where(inside, candidate, 0.5 * (lo + hi)), x)
+        collapsed = (hi - lo) <= _TOL * np.maximum(1.0, np.abs(hi))
+        active = moving & ~collapsed
+        if not np.count_nonzero(active):
+            break
 
     gaps = losses - x[:, None]
     p = 4.0 / (etas[:, None] * gaps) ** 2

@@ -56,6 +56,7 @@ from repro.sim.kernel import (
 from repro.sim.results import SimulationResult
 from repro.sim.scenario import Scenario, build_scenario
 from repro.sim.simulator import Simulator
+from repro.sim.vector import batch_block_opens
 from repro.spec import RunSpec
 
 __all__ = [
@@ -166,8 +167,11 @@ async def serve_edges(
        queue — under ``shed`` an item that does not fit becomes a
        zero-weight shed marker; under ``block`` it is held back, and no
        later slot is drawn, until stepping frees room;
-    2. step the oldest queued slot (every edge holds the same one) of each
-       edge in edge order and deliver the labels that came due;
+    2. solve the slot's coinciding Algorithm-1 block opens in one batch
+       (:func:`~repro.sim.vector.batch_block_opens`), then step the oldest
+       queued slot (every edge holds the same one) of each edge in edge
+       order — opening its block right before its step — and deliver the
+       labels that came due;
     3. resolve ingress and await ``on_slot`` with the slot's batch.
 
     The loop waits — on the clock — only when the next slot is not queued
@@ -208,10 +212,14 @@ async def serve_edges(
         outcomes: list[EdgeSlotOutcome] = []
         queue_s: list[float] = []
         serve_s: list[float] = []
-        for e in edges:
+        opens = batch_block_opens(t, [kernels[e].policy for e in edges])
+        for position, e in enumerate(edges):
             kernel = kernels[e]
             item = queues[e].get()
             dequeued = loop.time()
+            if position in opens:
+                block, row = opens[position]
+                kernel.policy.open_block_with(block, t, row, validated=True)
             outcomes.append(
                 kernel.step(item.t, item.count, indices=item.indices, shed=item.shed)
             )

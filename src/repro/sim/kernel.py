@@ -180,6 +180,9 @@ class EdgeSlotKernel:
         self.live_inference = live_inference
         self.pool_size = scenario.profiles[0].pool_size
         self.switch_cost = float(scenario.effective_switch_costs()[edge])
+        # Per-model expected loss, built once: the profile property averages
+        # the whole data pool on every read.
+        self.expected_losses = scenario.expected_losses.tolist()
         self.previous_model = -1
         self.retry_wait = 0
         self.retry_backoff = 0
@@ -290,7 +293,9 @@ class EdgeSlotKernel:
             idx = indices
         profile = self.scenario.profiles[serve]
         losses = self._sample_losses(profile, idx)
-        slot_loss = float(losses.mean()) if idx.size else 0.0
+        # np.add.reduce is the pairwise sum inside ndarray.mean (bit-identical)
+        # without its Python wrapper layers.
+        slot_loss = float(np.add.reduce(losses) / losses.size) if idx.size else 0.0
         latency = float(self.scenario.latencies[self.edge, serve])
         if serve != model:
             # The chosen model never ran, so its loss is unobservable this
@@ -323,7 +328,7 @@ class EdgeSlotKernel:
             switched=switched,
             offline=False,
             shed=False,
-            expected_loss=float(profile.expected_loss),
+            expected_loss=self.expected_losses[serve],
             slot_loss=slot_loss,
             latency=latency,
             switch_cost=self.switch_cost if switched else 0.0,

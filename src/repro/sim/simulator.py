@@ -49,6 +49,7 @@ from repro.sim.kernel import (
 )
 from repro.sim.results import SimulationResult
 from repro.sim.scenario import Scenario
+from repro.sim.vector import batch_block_opens
 from repro.utils.rng import RngFactory
 
 from typing import TYPE_CHECKING
@@ -217,6 +218,8 @@ class Simulator:
         ``True`` to require the fast path (raises if the run does not
         qualify).
         """
+        # Looked up at call time, so a wrapper installed on the module (the
+        # benchmark's layer spans) sees the call.
         from repro.sim.vector import can_vectorize, run_vectorized
 
         if vectorized is None:
@@ -231,18 +234,28 @@ class Simulator:
         return self._run_scalar()
 
     def _run_scalar(self) -> SimulationResult:
-        """The scalar reference loop: one kernel step per edge per slot."""
+        """The per-edge loop: one kernel step per edge per slot.
+
+        The blocks that open at a slot are solved in one batch up front
+        (:func:`~repro.sim.vector.batch_block_opens`); each edge's block is
+        opened right before its own step, so the trace keeps its order.
+        """
         horizon = self.scenario.horizon
         arrival_processes, edge_kernels, trading_kernel = self.build_kernels()
         aggregator = SlotAggregator(self.scenario, trading_kernel)
+        policies = [kernel.policy for kernel in edge_kernels]
         tracer, delay = self.tracer, self.label_delay
         for t in range(horizon):
             if tracer.enabled:
                 tracer.emit(SlotStartEvent(t=t, horizon=horizon))
-            outcomes = [
-                kernel.step(t, arrivals.sample(t))
-                for arrivals, kernel in zip(arrival_processes, edge_kernels)
-            ]
+            opens = batch_block_opens(t, policies)
+            outcomes = []
+            for i, arrivals in enumerate(arrival_processes):
+                count = arrivals.sample(t)
+                if i in opens:
+                    block, row = opens[i]
+                    policies[i].open_block_with(block, t, row, validated=True)
+                outcomes.append(edge_kernels[i].step(t, count))
             aggregator.fold(t, outcomes)
             if delay:
                 for kernel in edge_kernels:

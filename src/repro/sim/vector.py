@@ -14,8 +14,8 @@ The fast path runs in two phases:
 * **Phase A (selection)** resolves every edge's Algorithm-1 trajectory.
   When the whole fleet runs plain :class:`OnlineModelSelection`, this is
   *block-wise*: at each block boundary the coinciding OMD solves are
-  batched through :func:`tsallis_inf_probabilities_batch`, and the opened
-  block's full span of slot losses is then computed and folded in one
+  batched through :func:`batch_block_opens`, and the opened block's full
+  span of slot losses is then computed and folded in one
   :meth:`~OnlineModelSelection.observe_block` call — no per-slot
   ``select``/``observe`` round-trips at all.  Mixed or subclassed fleets
   fall back to a per-slot loop over the policies' public interface.
@@ -53,12 +53,16 @@ Why digests are preserved (the full argument is in DESIGN.md):
 
 The fast path declines runs that need the per-slot machinery it strips
 (tracing, fault injection, delayed labels) — those fall back to the
-retained scalar loop.
+per-edge loop.  :func:`batch_block_opens` is not fast-path-only: every
+engine batches its block openings through it — this module's two phases,
+``Simulator``'s per-edge loop and the serving runtimes' slot loop
+(:func:`~repro.serve.runtime.serve_edges`) — so there is one batching code
+path.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -68,13 +72,14 @@ from repro.core.tsallis import (
     tsallis_inf_probabilities_batch,
 )
 from repro.nn.losses import squared_label_loss
+from repro.policies.selection import SelectionPolicy
 from repro.sim.kernel import SlotAggregator, draw_pool_indices
 from repro.sim.results import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.sim.simulator import Simulator
 
-__all__ = ["can_vectorize", "run_vectorized"]
+__all__ = ["batch_block_opens", "can_vectorize", "run_vectorized"]
 
 
 def can_vectorize(sim: "Simulator") -> bool:
@@ -93,19 +98,54 @@ def can_vectorize(sim: "Simulator") -> bool:
     )
 
 
+def batch_block_opens(
+    t: int, policies: Sequence[SelectionPolicy]
+) -> dict[int, tuple[int, np.ndarray]]:
+    """Solve the Algorithm-1 block opens due at slot ``t`` in one batch.
+
+    Collects every plain :class:`OnlineModelSelection` in ``policies``
+    whose :meth:`~OnlineModelSelection.pending_block` is set at ``t`` and,
+    when there are two or more, solves their OMD steps in one
+    :func:`tsallis_inf_probabilities_batch` call, whose rows are bitwise
+    the scalar solves.  Returns ``{position: (block, probabilities)}`` in
+    position order — empty when fewer than two are due, so a lone opening
+    stays on the policy's own scalar path.  Subclasses may override the
+    opening logic and never join a batch.
+
+    Callers open each returned block with ``open_block_with(block, t, row,
+    validated=True)`` (the solver already ran the simplex postcondition).
+    The per-edge engines do so right before that edge's kernel step, which
+    keeps trace event order and per-stream RNG draw order unchanged; the
+    estimates read here are the ones ``select`` would read, because
+    nothing touches an edge's policy between the start of a slot and its
+    own step.
+    """
+    due = []
+    for position, policy in enumerate(policies):
+        if type(policy) is OnlineModelSelection:
+            block = policy.pending_block(t)
+            if block is not None:
+                due.append((position, policy, block))
+    if len(due) < 2:
+        return {}
+    probabilities = tsallis_inf_probabilities_batch(
+        np.stack([policy.cumulative_estimates() for _, policy, _ in due]),
+        np.array([policy.block_eta(block) for _, policy, block in due]),
+    )
+    return {
+        position: (block, row)
+        for (position, _, block), row in zip(due, probabilities)
+    }
+
+
 def _block_open_slots(policies: list) -> dict[int, list[tuple[int, OnlineModelSelection, int]]]:
-    """Map slot -> [(edge, policy, block)] for plain Algorithm-1 policies.
+    """Map slot -> [(edge, policy, block)] for an all-Algorithm-1 fleet.
 
     Block boundaries are fixed by the Theorem-1 schedule, so the slots at
-    which each edge must open a block are known up front; edges whose
-    boundaries coincide at a slot get their OMD solves batched.  Only exact
-    :class:`OnlineModelSelection` instances participate — subclasses may
-    override the opening logic and fall back to their own ``select``.
+    which each edge must open a block are known up front.
     """
     groups: dict[int, list[tuple[int, OnlineModelSelection, int]]] = {}
     for i, policy in enumerate(policies):
-        if type(policy) is not OnlineModelSelection:
-            continue
         start = 0
         for block, length in enumerate(policy.schedule.lengths):
             groups.setdefault(start, []).append((i, policy, block))
@@ -116,33 +156,29 @@ def _block_open_slots(policies: list) -> dict[int, list[tuple[int, OnlineModelSe
 def _open_blocks(
     t: int, group: list[tuple[int, OnlineModelSelection, int]]
 ) -> list[int]:
-    """Open every block due at slot ``t``, batching coinciding solves.
+    """Open every block due at slot ``t``; return the sampled models.
 
-    A single opening uses the scalar solver (exactly what ``select`` would
-    have done); two or more use the batched solver, whose rows are bitwise
-    identical to the scalar trajectories.  Sampling the block model happens
-    inside each policy, on its own ``selection-<edge>`` stream, in edge
-    order — the same per-stream draw order as the scalar loop.  Both
-    solvers already ran the simplex postcondition, so the openings skip the
-    re-check.  Returns the sampled models, aligned with ``group``.
+    Coinciding openings go through :func:`batch_block_opens`; a single one
+    uses the scalar solver, exactly what ``select`` would have run.
+    Sampling each block model happens inside its policy, on its own
+    ``selection-<edge>`` stream, in edge order — the same per-stream draw
+    order as the per-edge engines.  Models are aligned with ``group``.
     """
-    if len(group) == 1:
-        _, policy, block = group[0]
-        model = policy.open_block_with(
-            block,
-            t,
-            tsallis_inf_probabilities(
-                policy.cumulative_estimates(), policy.block_eta(block)
-            ),
-            validated=True,
-        )
-        return [model]
-    stacked = np.stack([p.cumulative_estimates() for _, p, _ in group])
-    etas = np.array([p.block_eta(b) for _, p, b in group])
-    probabilities = tsallis_inf_probabilities_batch(stacked, etas)
+    policies = [policy for _, policy, _ in group]
+    opens = batch_block_opens(t, policies)
+    if not opens:
+        ((_, policy, block),) = group
+        opens = {
+            0: (
+                block,
+                tsallis_inf_probabilities(
+                    policy.cumulative_estimates(), policy.block_eta(block)
+                ),
+            )
+        }
     return [
-        policy.open_block_with(block, t, row, validated=True)
-        for row, (_, policy, block) in zip(probabilities, group)
+        policies[j].open_block_with(block, t, row, validated=True)
+        for j, (block, row) in opens.items()
     ]
 
 
@@ -157,7 +193,7 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
     profiles = scenario.profiles
     loss_tables = [profile.loss_per_sample for profile in profiles]
     correct_tables = [profile.correct_per_sample for profile in profiles]
-    expected_losses = np.array([float(p.expected_loss) for p in profiles])
+    expected_losses = scenario.expected_losses
     latencies = scenario.latencies
     latency_rows = [[float(v) for v in latencies[i]] for i in range(num_edges)]
     switch_costs = [kernel.switch_cost for kernel in edge_kernels]
@@ -225,7 +261,6 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
                 ]
             )
 
-    open_groups = _block_open_slots(policies)
     blockwise = all(type(policy) is OnlineModelSelection for policy in policies)
 
     # Results land directly in the aggregator's arrays (the fold's own
@@ -247,6 +282,7 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
     if blockwise:
         # Whole blocks at a time: open at the boundary, then compute and
         # fold the block's entire slot-loss span in one observe_block call.
+        open_groups = _block_open_slots(policies)
         for t in sorted(open_groups):
             group = open_groups[t]
             models = _open_blocks(t, group)
@@ -299,9 +335,8 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
         select_fns = [policy.select for policy in policies]
         observe_fns = [policy.observe for policy in policies]
         for t in range(horizon):
-            group = open_groups.get(t)
-            if group is not None:
-                _open_blocks(t, group)
+            for i, (block, row) in batch_block_opens(t, policies).items():
+                policies[i].open_block_with(block, t, row, validated=True)
             for i in range(num_edges):
                 model = select_fns[i](t)
                 flat = flat_indices[i]

@@ -13,7 +13,14 @@ import os
 
 import pytest
 
-from repro.bench.cases import SUITE_NAMES, BenchCase, derive_ratios, run_case
+from repro.bench.cases import (
+    INFORMATIONAL_RATIOS,
+    SUITE_NAMES,
+    BenchCase,
+    derive_ratios,
+    run_case,
+    suite_cases,
+)
 from repro.bench.cli import main
 from repro.bench.report import (
     BENCH_FORMAT_VERSION,
@@ -194,10 +201,23 @@ class TestRunCase:
         results = (_result("simulate_scalar_i64", 0.4),
                    _result("simulate_vectorized_i64", 0.1),
                    _result("simulate_scalar_i10", 0.3),
-                   _result("simulate_vectorized_i10", 0.2))
+                   _result("simulate_vectorized_i10", 0.2),
+                   _result("simulate_observed_i64", 0.3))
         ratios = derive_ratios("simulator", results)
         assert ratios["vectorized_speedup_i64"] == pytest.approx(4.0)
         assert ratios["vectorized_speedup_i10"] == pytest.approx(1.5)
+        assert ratios["observed_gap_i64"] == pytest.approx(3.0)
+
+    def test_simulator_suite_has_the_observed_case(self):
+        names = [case.name for case in suite_cases("simulator")]
+        assert "simulate_observed_i64" in names
+        # Overrides define their own workload; the observed twin has its
+        # own faults and tracer, so it is left out like the vectorized ones.
+        overridden = suite_cases("simulator", spec_overrides={"label_delay": 1})
+        assert not any(
+            case.name.startswith(("simulate_observed", "simulate_vectorized"))
+            for case in overridden
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +296,16 @@ class TestCliGate:
         out = capsys.readouterr().out
         assert "RATIO" in out
         assert "FAIL: 1 regression(s)" in out
+
+    def test_informational_ratio_never_gates(self, tmp_path, capsys):
+        # A gap ratio falling is an improvement, not a regression.
+        assert "observed_gap_i64" in INFORMATIONAL_RATIOS
+        baseline = _report({"a": 0.1}, ratios={"observed_gap_i64": 3.0})
+        current = _report({"a": 0.1}, ratios={"observed_gap_i64": 1.2})
+        assert self._run_check(tmp_path, baseline, current) == 0
+        out = capsys.readouterr().out
+        assert "info    observed_gap_i64: 1.20x vs baseline 3.00x" in out
+        assert "RATIO" not in out
 
     def test_lost_case_coverage_fails(self, tmp_path, capsys):
         baseline = _report({"a": 0.1, "b": 0.2})
