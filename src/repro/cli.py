@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", dest="serve_workers", type=int,
                        default=None, metavar="W",
                        help="shard the edge tier across W worker processes "
-                            "(1 = in-process runtime; default: 1)")
+                            "(1 = edges in the parent process; default: 1)")
     serve.add_argument("--on-worker-death",
                        choices=("fail", "degrade", "restart"),
                        default=None,
@@ -433,6 +433,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         runtime_from_snapshot,
         shard_edges,
     )
+    from repro.serve.shard import edges_in_processes
 
     plan = None
     if args.faults is not None:
@@ -513,8 +514,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             from repro.serve import load_reconfig_plan
 
             shard_kwargs["reconfig"] = load_reconfig_plan(args.reconfig)
-        if config.num_workers > 1 and args.trace_output is not None:
-            # One log per worker shard beside the parent's; merge them back
+        if args.trace_output is not None and edges_in_processes(
+            config, **shard_kwargs
+        ):
+            # One log per worker process beside the parent's; merge them back
             # with ``repro trace --replay out.jsonl out.jsonl.shard*``.
             shards = shard_edges(config.scenario.num_edges, config.num_workers)
             shard_kwargs["shard_trace_paths"] = [

@@ -6,11 +6,12 @@ adapters, with bounded-queue backpressure, periodic snapshot/restore, a
 stdlib health endpoint, and a deterministic virtual-clock mode that is
 bit-identical to :meth:`repro.sim.simulator.Simulator.run`.
 
-The edge tier also runs *process-sharded* (:mod:`repro.serve.shard`):
-edges partitioned across worker processes behind the same coordinator
-protocol, with identical virtual-clock results, and a wall-clock soak
-harness (:mod:`repro.serve.soak`, ``repro soak``) that drives the shards
-under deterministic load shapes (:mod:`repro.serve.load`).
+One runtime, :class:`ServeRuntime` (also bound as ``ShardRuntime``), serves
+every run: its edges run in the parent process as one local shard, or
+partitioned across worker processes (:mod:`repro.serve.shard`) with
+identical virtual-clock results.  A wall-clock soak harness
+(:mod:`repro.serve.soak`, ``repro soak``) drives it under deterministic
+load shapes (:mod:`repro.serve.load`).
 """
 
 from repro.serve.adapters import (
@@ -44,16 +45,13 @@ from repro.serve.reconfig import (
     RemoveEdge,
     load_reconfig_plan,
 )
-from repro.serve.runtime import (
-    ServeRuntime,
-    SlotAggregator,
-    build_serve_kernels,
-    serve_run,
-)
+from repro.serve.runtime import SlotAggregator, build_serve_kernels
 from repro.serve.shard import (
+    ServeRuntime,
     ShardRuntime,
     make_runtime,
     runtime_from_snapshot,
+    serve_run,
     shard_edges,
 )
 from repro.serve.snapshot import SNAPSHOT_VERSION, load_snapshot, save_snapshot

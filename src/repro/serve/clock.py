@@ -1,6 +1,8 @@
 """Pluggable slot clocks gating how far ahead the fleet may run.
 
-The runtime *releases* slots as it folds them; the slot loop
+The runtime's parent owns one clock and *releases* slots on it as it
+folds them (forwarding each release to any worker processes, whose own
+clocks mirror it); the slot loop
 (:func:`~repro.serve.runtime.serve_edges`) draws a slot's workload only
 once it is released and *due*.  :class:`VirtualClock`
 advances only on releases — time is logical, runs are deterministic, and a
@@ -36,10 +38,10 @@ def release_target(
     next snapshot boundary — nor, when given, the next restart-checkpoint
     boundary (``restart_state_every``) or reconfiguration ``barrier`` —
     so when the fold reaches one, every edge is provably
-    quiescent.  Shared by the in-process runtime
-    (:class:`~repro.serve.runtime.ServeRuntime`) and the sharded parent
-    (:class:`~repro.serve.shard.ShardRuntime`) so the two runtimes release
-    identical schedules.
+    quiescent.  The runtime's parent
+    (:class:`~repro.serve.shard.ServeRuntime`) computes every release
+    through this one function, whether its edges run as a local shard or
+    in worker processes.
     """
     depth = 1 if lockstep else pipeline_depth
     target = completed + depth

@@ -37,7 +37,7 @@ ADAPTER_NAMES = ("poisson", "replay", "dataset", "shape")
 #: work queue: hold it back until there is room, or shed it.
 BACKPRESSURE_MODES = ("block", "shed")
 
-#: What the sharded parent does when a worker process dies mid-horizon:
+#: What the runtime's parent does when a worker process dies mid-horizon:
 #: ``"fail"`` raises immediately; ``"degrade"`` marks the dead shard's
 #: edges offline for the remaining slots and completes the run with the
 #: accounting equation (and the ledger) intact; ``"restart"`` respawns the

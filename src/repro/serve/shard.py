@@ -1,29 +1,34 @@
-"""Multi-process sharded edge tier behind the coordinator protocol.
+"""The serving runtime: one parent over the fleet's edge shards.
 
-Topology (one run): the fleet's edges are partitioned contiguously across
-``num_workers`` worker *processes*; each worker runs the same slot loop as
-:class:`~repro.serve.runtime.ServeRuntime`
-(:func:`~repro.serve.runtime.serve_edges`) over its shard of
-:class:`~repro.sim.kernel.EdgeSlotKernel`\\ s, while the parent process owns
-the :class:`~repro.sim.kernel.TradingSlotKernel`, the result arrays, the
-release schedule, and snapshot persistence.  The two sides exchange
-length-prefixed pickle frames (:mod:`repro.serve.frames`) over one duplex
-pipe per worker: the parent broadcasts slot releases, workers report
-per-slot outcome batches, heartbeats prove liveness during long slots, and
-a drain handshake ends the run with the ledger intact.
+Topology (one run): the parent process runs one asyncio loop that owns
+everything above the edges — the :class:`~repro.sim.kernel.TradingSlotKernel`
+and result arrays (one :class:`~repro.sim.kernel.SlotAggregator`), the
+release schedule (one :class:`~repro.serve.clock.SlotClock`), snapshot
+persistence, and the ``/healthz``/``/metrics`` server.  The edges run the
+slot loop (:func:`~repro.serve.runtime.serve_edges`) in *shards*:
+
+* a **local shard** — one worker and no chaos or reconfig plan — runs the
+  whole fleet's loop on the parent loop and hands each slot's batch
+  straight to the fold;
+* **process shards** partition the edges contiguously across
+  ``num_workers`` worker processes.  The two sides exchange
+  length-prefixed pickle frames (:mod:`repro.serve.frames`) over one
+  duplex pipe per worker: the parent broadcasts slot releases, workers
+  report per-slot outcome batches, heartbeats prove liveness during long
+  slots, and a drain handshake ends the run with the ledger intact.  The
+  parent watches every pipe and process sentinel with ``loop.add_reader``,
+  so a crashed worker surfaces immediately.
 
 Determinism: every worker rebuilds the *full* kernel set from the shared
 :class:`~repro.serve.config.ServeConfig` — bit-identical by the name-keyed
 RNG stream contract (:func:`~repro.serve.runtime.build_serve_kernels`) —
 and steps only its own edges, whose streams are independent of everyone
-else's.  The parent folds outcome batches in global edge order through the
-same :class:`~repro.sim.kernel.SlotAggregator` the in-process runtime and
-the simulator use, so a sharded virtual-clock run is bit-identical to
-``Simulator.run`` and is locked against the same golden digests.
+else's.  The parent folds outcomes in global edge order through the same
+:class:`~repro.sim.kernel.SlotAggregator` the simulator uses, so a
+virtual-clock run is bit-identical to ``Simulator.run`` at any worker
+count and is locked against the same golden digests.
 
-Worker death: the parent multiplexes pipe reads and process sentinels in
-one ``multiprocessing.connection.wait`` call, so a crashed worker surfaces
-immediately.  Policy ``"fail"`` raises (attaching the worker-side traceback
+Worker death: policy ``"fail"`` raises (attaching the worker-side traceback
 when one made it over the wire); ``"degrade"`` marks the dead shard's edges
 offline for every remaining slot (synthesized zero-cost outcomes, so
 ``in == served + shed + offline`` still holds exactly), keeps trading every
@@ -62,7 +67,6 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import os
-import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -73,6 +77,7 @@ from repro.faults.plan import FaultPlan
 from repro.obs.events import (
     ReconfigAppliedEvent,
     SlotStartEvent,
+    SnapshotEvent,
     WorkerDeathEvent,
     WorkerRestartEvent,
     WorkerSpawnEvent,
@@ -80,7 +85,7 @@ from repro.obs.events import (
 from repro.obs.sinks import JsonlSink
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.serve.chaos import ChaosPlan, WorkerChaos, realize
-from repro.serve.clock import VirtualClock, WallClock, release_target
+from repro.serve.clock import SlotClock, VirtualClock, WallClock, release_target
 from repro.serve.config import ServeConfig
 from repro.serve.frames import (
     BYE,
@@ -102,21 +107,18 @@ from repro.serve.frames import (
 from repro.serve.http import StatusServer
 from repro.serve.queues import BoundedWorkQueue
 from repro.serve.reconfig import ReconfigPlan, apply_op
-from repro.serve.runtime import (
-    ServeRuntime,
-    SlotBatch,
-    _BaseRuntime,
-    build_serve_kernels,
-    serve_edges,
-)
-from repro.serve.snapshot import load_snapshot
-from repro.sim.kernel import EdgeSlotOutcome, zero_cost_outcome
+from repro.serve.runtime import SlotBatch, build_serve_kernels, serve_edges
+from repro.serve.snapshot import load_snapshot, save_snapshot
+from repro.sim.kernel import EdgeSlotOutcome, SlotAggregator, zero_cost_outcome
 from repro.sim.results import SimulationResult
 
 __all__ = [
+    "ServeRuntime",
     "ShardRuntime",
+    "edges_in_processes",
     "make_runtime",
     "runtime_from_snapshot",
+    "serve_run",
     "shard_edges",
 ]
 
@@ -485,7 +487,7 @@ class _Shard:
     live_from: int = 0
     ready: bool = False
     running: bool = True
-    eof: bool = False
+    exited: bool = False
     byed: bool = False
     failed: bool = False
     errored: bool = False
@@ -497,64 +499,57 @@ class _Shard:
     last_frame: float = field(default_factory=time.monotonic)
 
 
-class _StatusThread(threading.Thread):
-    """Runs the stdlib StatusServer on its own loop beside the sync parent."""
+def edges_in_processes(
+    config: ServeConfig,
+    *,
+    chaos: ChaosPlan | None = None,
+    reconfig: ReconfigPlan | None = None,
+) -> bool:
+    """Whether a run steps its edges in worker processes.
 
-    def __init__(self, routes: dict, port: int) -> None:
-        super().__init__(daemon=True, name="shard-status")
-        self._routes = routes
-        self._request_port = port
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._started = threading.Event()
-        self.port: int | None = None
-
-    def run(self) -> None:  # pragma: no cover - exercised via HTTP tests
-        asyncio.run(self._serve())
-
-    async def _serve(self) -> None:
-        server = StatusServer(self._routes, port=self._request_port)
-        await server.start()
-        self.port = server.port
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self._started.set()
-        try:
-            await self._stop_event.wait()
-        finally:
-            await server.stop()
-
-    def wait_started(self, timeout: float = 10.0) -> None:
-        if not self._started.wait(timeout):
-            raise RuntimeError("status server thread failed to start")
-
-    def stop(self) -> None:
-        if self._loop is not None and self._stop_event is not None:
-            self._loop.call_soon_threadsafe(self._stop_event.set)
-        self.join(timeout=5.0)
+    More than one worker needs processes.  Chaos and reconfig plans act on
+    worker processes, so passing either puts even a single worker in one;
+    every other run keeps its edges in the parent as a local shard.
+    """
+    return config.num_workers > 1 or chaos is not None or reconfig is not None
 
 
-class ShardRuntime(_BaseRuntime):
-    """One serve run with the edge tier sharded across worker processes.
+class ServeRuntime:
+    """One serve run: the parent of the fleet's edge shards.
 
-    API mirror of :class:`~repro.serve.runtime.ServeRuntime`: construct
-    from a :class:`ServeConfig` (``num_workers`` decides the shard count)
-    or :meth:`from_snapshot`, then :meth:`run`.  Virtual-clock runs are
-    bit-identical to the in-process runtime and to ``Simulator.run``.
+    Construct from a :class:`ServeConfig` (the scenario is built from its
+    embedded :class:`~repro.sim.config.ScenarioConfig`), or resume one from
+    disk with :meth:`from_snapshot`.  :meth:`run` executes to the end of the
+    horizon and returns the same :class:`SimulationResult` the simulator
+    would; ``run(max_slots=k)`` stops after ``k`` completed slots (the
+    "killed mid-horizon" path; state survives via snapshots).
+
+    The parent runs on one asyncio loop and owns everything above the
+    edges: the trading kernel and result arrays (one
+    :class:`~repro.sim.kernel.SlotAggregator`), the release schedule (one
+    :class:`~repro.serve.clock.SlotClock`), snapshots, ``/healthz`` and
+    ``/metrics``.  Where the edges run is decided by
+    :func:`edges_in_processes`: a *local shard* runs
+    :func:`~repro.serve.runtime.serve_edges` over the whole fleet on the
+    parent loop and hands each slot's batch straight to the fold; *process
+    shards* run the same loop in worker processes, whose pipes and process
+    sentinels the parent watches with ``loop.add_reader``.  Virtual-clock
+    runs are bit-identical either way, and to ``Simulator.run``.
 
     ``on_stage_sample(stage, seconds)``, when given, receives every
-    per-stage latency sample — ``queue`` (enqueue to dequeue, measured in
-    the worker), ``serve`` (kernel step, worker), ``trade`` (parent fold +
-    trading step), ``slot`` (release to fold, end-to-end), and
-    ``recovery`` (worker death to its first live outcome after a
-    supervised restart) — which is how the soak harness feeds its quantile
-    sketches without this module depending on it.
+    per-stage latency sample — ``queue`` (enqueue to dequeue) and
+    ``serve`` (kernel step), measured where the edge runs; ``trade``
+    (parent fold + trading step) and then ``slot`` (release to fold), after
+    each fold; and ``recovery`` (worker death to its first live outcome
+    after a supervised restart) — which is how the soak harness feeds its
+    quantile sketches without this module depending on it.
 
     ``chaos`` takes a :class:`~repro.serve.chaos.ChaosPlan` realized
     deterministically against the fleet at construction; ``reconfig``
     takes a :class:`~repro.serve.reconfig.ReconfigPlan` applied at slot
     barriers (incompatible with periodic snapshots — a barrier changes the
-    fleet shape mid-file).
+    fleet shape mid-file).  ``shard_trace_paths`` gives each worker process
+    its own JSONL trace; a local shard traces through ``tracer``.
     """
 
     def __init__(
@@ -571,13 +566,35 @@ class ShardRuntime(_BaseRuntime):
         chaos: ChaosPlan | None = None,
         reconfig: ReconfigPlan | None = None,
     ) -> None:
-        # The parent builds the full kernel set too: it keeps the trading
-        # kernel (Algorithm 2 + market + ledger); the edge kernels are never
-        # stepped here and their streams stay untouched (draws are lazy).
-        scenario, _, _, trading_kernel = build_serve_kernels(
-            config, tracer=tracer, faults=faults
+        # Process-shard runs build the full kernel set here too: the parent
+        # keeps the trading kernel (Algorithm 2 + market + ledger), and the
+        # edge kernels it never steps cost nothing (draws are lazy).
+        scenario, self.adapters, self.edge_kernels, self.trading_kernel = (
+            build_serve_kernels(config, tracer=tracer, faults=faults)
         )
-        super().__init__(config, scenario, trading_kernel, tracer=tracer)
+        self.config = config
+        self.label = config.effective_label
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self._rebind_tracer = tracer is not None
+        self.scenario = scenario
+        self.horizon = scenario.horizon
+        self.num_edges = scenario.num_edges
+        self.aggregator = SlotAggregator(scenario, self.trading_kernel)
+        self.completed_slot = -1
+        self.local = not edges_in_processes(config, chaos=chaos, reconfig=reconfig)
+        self.clock: SlotClock = (
+            VirtualClock() if config.virtual_clock else WallClock(config.slot_duration)
+        )
+        #: The local shard's per-edge work queues (workers keep their own).
+        self.queues = (
+            [BoundedWorkQueue(config.queue_capacity) for _ in range(self.num_edges)]
+            if self.local
+            else []
+        )
+        self.status_server: StatusServer | None = None
+        #: Set once run_async has started serving (and the status server,
+        #: when one is configured) — the event-driven "server is up" wait.
+        self.server_ready = asyncio.Event()
         self._faults = faults
         self._reconfig = (
             reconfig if reconfig is not None and not reconfig.is_empty else None
@@ -603,13 +620,18 @@ class ShardRuntime(_BaseRuntime):
                 upto_slot=0,
             )
         self.shards = self._partition(self._active, self._num_workers)
-        if shard_trace_paths is not None and len(shard_trace_paths) != len(
-            self.shards
-        ):
-            raise ValueError(
-                f"{len(shard_trace_paths)} shard trace paths for "
-                f"{len(self.shards)} shards"
-            )
+        if shard_trace_paths is not None:
+            if self.local:
+                raise ValueError(
+                    "shard trace paths need worker processes; a one-worker "
+                    "run without a chaos or reconfig plan traces through "
+                    "the parent tracer"
+                )
+            if len(shard_trace_paths) != len(self.shards):
+                raise ValueError(
+                    f"{len(shard_trace_paths)} shard trace paths for "
+                    f"{len(self.shards)} shards"
+                )
         self._shard_trace_paths = (
             [str(p) for p in shard_trace_paths] if shard_trace_paths else None
         )
@@ -623,14 +645,23 @@ class ShardRuntime(_BaseRuntime):
             horizon=self.horizon,
             seed=config.seed,
         )
+        self._restart_every = (
+            config.restart_state_every
+            if not self.local and config.on_worker_death == "restart"
+            else 0
+        )
         self._edge_state_slot = 0  # slot the (fresh/restored) edge state is at
+        self._stop_slot = self.horizon
+        self._release_ts: dict[int, float] = {}
         self._handles: list[_Shard] = []
         self._owner: dict[int, _Shard] = {}
         self._pending: dict[int, dict[int, EdgeSlotOutcome]] = {}
+        #: Resolved per-slot ingress payloads awaiting their slot's fold:
+        #: ``t -> {edge -> payload}``.  Overwrite semantics mirror the
+        #: outcome buffer — a restarted worker's replay frames replace the
+        #: dead incarnation's unfolded payloads, never double-count.
+        self._pending_ingress: dict[int, dict[int, dict]] = {}
         self._last_models: dict[int, int] = {}
-        self._release_ts: dict[int, float] = {}
-        self._released = -1
-        self._stop_slot = self.horizon
         self._state_frames: dict[int, dict] = {}
         self._barriers: list[int] = []
         # Last-good per-edge state: edge -> (kernel, adapter, as_of, mode).
@@ -638,23 +669,36 @@ class ShardRuntime(_BaseRuntime):
         # ("live" = real outcomes, "offline" = parent-synthesized), which
         # tells a respawned worker how to catch its kernels up.
         self._edge_payloads: dict[int, tuple] = {}
-        self._restart_due: dict[int, float] = {}
-        self._restart_backoff: dict[int, float] = {}
+        self._restart_due: dict[int, asyncio.TimerHandle] = {}
         self._restarts_used: dict[int, int] = {}
         self._death_ts: dict[int, float] = {}
         self._spawn_counts: dict[int, int] = {}
         self._reconfiguring = False
-        self.status_thread: _StatusThread | None = None
+        # A failure raised inside a loop callback, re-raised by the run.
+        self._failure: BaseException | None = None
+        self._waiter: asyncio.Future | None = None
         counter = self.tracer.counter
+        self._events_in = counter("serve/events_in")
+        self._events_served = counter("serve/events_served")
+        self._events_shed = counter("serve/events_shed")
+        self._events_dropped_offline = counter("serve/events_dropped_offline")
+        self._slots_completed = counter("serve/slots_completed")
+        self._snapshots_taken = counter("serve/snapshots")
         self._heartbeats = counter("serve/heartbeats")
         self._shard_deaths = counter("serve/shard_deaths")
         self._restarts = counter("serve/restarts")
         self._reconfigs = counter("serve/reconfigs")
-        #: Resolved per-slot ingress payloads awaiting their slot's fold:
-        #: ``t -> {edge -> payload}``.  Overwrite semantics mirror the
-        #: outcome buffer — a restarted worker's replay frames replace the
-        #: dead incarnation's unfolded payloads, never double-count.
-        self._pending_ingress: dict[int, dict[int, dict]] = {}
+        ingress_config = config.ingress_config()
+        self.ingress = None
+        if ingress_config is not None:
+            from repro.ingress.stats import IngressStats
+
+            self.ingress = IngressStats(ingress_config.class_names)
+            self._requests_in = counter("ingress/requests_in")
+            self._requests_dropped = counter("ingress/requests_dropped")
+            self._requests_deferred = counter("ingress/requests_deferred")
+            self._deadline_hits = counter("ingress/deadline_hits")
+            self._deadline_misses = counter("ingress/deadline_misses")
 
     @staticmethod
     def _partition(active: Sequence[int], num_workers: int) -> list[tuple[int, ...]]:
@@ -666,11 +710,58 @@ class ShardRuntime(_BaseRuntime):
 
     # -- restore -----------------------------------------------------------
 
-    def _restore_edges(self, state: dict, next_slot: int) -> None:
+    @classmethod
+    def from_snapshot(
+        cls,
+        path: str | Path,
+        *,
+        tracer: Tracer | None = None,
+        faults: FaultPlan | None = None,
+        **kwargs,
+    ) -> "ServeRuntime":
+        """Rebuild a runtime mid-horizon from a persisted snapshot.
+
+        Snapshots hold every edge's state whichever shards wrote them, so a
+        file resumes at any worker count; the snapshot's config decides it.
+        """
+        state = load_snapshot(path)
+        config = ServeConfig.from_dict(state["config"])
+        runtime = cls(config, tracer=tracer, faults=faults, **kwargs)
+        runtime._restore(state)
+        return runtime
+
+    def _restore(self, state: dict) -> None:
+        if state["label"] != self.label:
+            raise ValueError(
+                f"snapshot is for run {state['label']!r}, "
+                f"this runtime serves {self.label!r}"
+            )
+        next_slot = int(state["next_slot"])
+        if not 0 <= next_slot <= self.horizon:
+            raise ValueError(
+                f"snapshot resumes at slot {next_slot}, "
+                f"horizon is {self.horizon}"
+            )
+        self.trading_kernel.load_state(state["trading"])
+        if self._rebind_tracer:
+            self.trading_kernel.policy.bind_tracer(self.tracer)
+            self.trading_kernel.market.bind_tracer(self.tracer)
+            self.trading_kernel.ledger.bind_tracer(self.tracer)
+        self.aggregator.load_arrays(state["arrays"])
+        self.completed_slot = next_slot - 1
         self._edge_state_slot = next_slot
-        # Per-edge kernel/adapter states are handed to the workers, which
-        # rebuild and then restore their own shard (one pickle payload per
-        # worker keeps kernel/adapter shared-object identity intact).
+        if self.local:
+            for kernel, kernel_state in zip(self.edge_kernels, state["edges"]):
+                kernel.load_state(kernel_state)
+            for adapter, adapter_state in zip(self.adapters, state["adapters"]):
+                adapter.load_state(adapter_state)
+            if self._rebind_tracer:
+                for e, kernel in enumerate(self.edge_kernels):
+                    kernel.policy.bind_tracer(self.tracer, edge=e)
+            return
+        # Workers rebuild their kernels and restore their own edges (one
+        # pickle payload per worker keeps kernel/adapter shared-object
+        # identity intact).
         for e in range(self.num_edges):
             self._edge_payloads[e] = (
                 state["edges"][e],
@@ -686,7 +777,12 @@ class ShardRuntime(_BaseRuntime):
     # -- public surface ----------------------------------------------------
 
     def health(self) -> dict[str, object]:
-        """Liveness payload for ``GET /healthz`` (adds shard status)."""
+        """Liveness payload for ``GET /healthz``.
+
+        ``shards`` lists the worker processes (none for a local shard);
+        ``queues`` has one entry per edge, with ``None`` depths for edges
+        whose queues live in a worker process.
+        """
         done = self.completed_slot >= self.horizon - 1
         degraded = any(h.failed for h in self._handles)
         healing = bool(self._restart_due) or any(
@@ -695,11 +791,12 @@ class ShardRuntime(_BaseRuntime):
         status = "done" if done else (
             "degraded" if degraded else ("healing" if healing else "serving")
         )
+        queues = self.queues or [None] * self.num_edges
         return {
             "status": status,
             "label": self.label,
             "completed_slot": self.completed_slot,
-            "released_slot": self._released,
+            "released_slot": self.clock.released,
             "horizon": self.horizon,
             "num_edges": self.num_edges,
             "active_edges": len(self._active),
@@ -716,26 +813,250 @@ class ShardRuntime(_BaseRuntime):
                 }
                 for h in self._handles
             ],
+            "queues": [
+                {
+                    "edge": e,
+                    "depth_events": None if queue is None else queue.depth_events,
+                    "depth_items": None if queue is None else queue.depth_items,
+                    "peak_events": (
+                        None if queue is None else queue.stats.peak_events
+                    ),
+                    "rejected": None if queue is None else queue.stats.rejected,
+                }
+                for e, queue in enumerate(queues)
+            ],
         }
 
+    def metrics(self) -> dict[str, object]:
+        """Tracer counters/timers and event tallies for ``GET /metrics``."""
+        payload: dict[str, object] = dict(self.tracer.metrics_snapshot())
+        payload["events"] = self.tracer.event_counts()
+        return payload
+
+    def result(self) -> SimulationResult:
+        """The completed run's records (requires the full horizon served)."""
+        if self.completed_slot < self.horizon - 1:
+            raise RuntimeError(
+                f"run stopped after slot {self.completed_slot}; "
+                f"horizon is {self.horizon} — resume it before asking for results"
+            )
+        return self.aggregator.result(self.label)
+
     def run(self, *, max_slots: int | None = None) -> SimulationResult | None:
-        """Serve the horizon (or ``max_slots`` of it) across the shards.
+        """Serve the horizon (or ``max_slots`` of it) on a fresh event loop.
 
         Returns the :class:`SimulationResult` when the horizon completed,
-        ``None`` after a partial run (resume from the last snapshot via
-        :meth:`from_snapshot` — unlike the in-process runtime, the edge
-        state of a partial sharded run lives in its snapshot file, not in
-        this object).
+        ``None`` after a partial run.  A local shard keeps its edge state,
+        so the same object can run on; process shards exit with theirs, so
+        a partial process run continues only from its snapshot file
+        (:meth:`from_snapshot`).
         """
-        start, stop = self._slot_range(max_slots)
-        if start >= stop:
-            return self._finish(stop)
-        if start != self._edge_state_slot:
-            raise RuntimeError(
-                f"edge state is at slot {self._edge_state_slot} but the run "
-                f"would start at {start}; sharded runs continue from their "
-                "snapshot file (ShardRuntime.from_snapshot)"
-            )
+        return asyncio.run(self.run_async(max_slots=max_slots))
+
+    async def run_async(
+        self, *, max_slots: int | None = None
+    ) -> SimulationResult | None:
+        """Async entry point: serve ``max_slots`` slots (default: the rest)."""
+        start = self.completed_slot + 1
+        stop = self.horizon
+        if max_slots is not None:
+            if max_slots < 1:
+                raise ValueError(f"max_slots must be >= 1, got {max_slots}")
+            stop = min(stop, start + max_slots)
+        if start < stop:
+            if start != self._edge_state_slot:
+                raise RuntimeError(
+                    f"edge state is at slot {self._edge_state_slot} but the "
+                    f"run would start at {start}; a partial run with worker "
+                    "processes continues from its snapshot file "
+                    "(ServeRuntime.from_snapshot)"
+                )
+            await self._serve(start, stop)
+            local_state = self.local or stop == self.horizon
+            self._edge_state_slot = stop if local_state else -1
+        return self.result() if stop == self.horizon else None
+
+    async def _serve(self, start: int, stop: int) -> None:
+        self._stop_slot = stop
+        try:
+            if not self.local:
+                self._spawn_fleet(start, stop)
+            if self.config.health_port is not None:
+                self.status_server = StatusServer(
+                    {"/healthz": self.health, "/metrics": self.metrics},
+                    port=self.config.health_port,
+                )
+                await self.status_server.start()
+            self.server_ready.set()
+            if self.local:
+                await self._release_through(self._release_target(start - 1))
+                await serve_edges(
+                    range(self.num_edges),
+                    adapters=self.adapters,
+                    kernels=self.edge_kernels,
+                    queues=self.queues,
+                    clock=self.clock,
+                    config=self.config,
+                    tracer=self.tracer,
+                    start=start,
+                    stop=stop,
+                    on_slot=self._on_local_slot,
+                )
+            else:
+                await self._await_ready(self._handles)
+                await self._release_through(self._release_target(start - 1))
+                await self._fold_processes(stop)
+        finally:
+            if self._handles:
+                await self._shutdown()
+            if self.status_server is not None:
+                await self.status_server.stop()
+
+    # -- the slot fold -----------------------------------------------------
+
+    async def _on_local_slot(self, batch: SlotBatch) -> None:
+        self._observe_steps(batch.queue_s, batch.serve_s)
+        await self._fold_slot(batch.t, batch.outcomes, batch.ingress)
+
+    def _observe_steps(self, queue_s: list[float], serve_s: list[float]) -> None:
+        observe = self._on_stage_sample
+        if observe is not None:
+            for value in queue_s:
+                observe("queue", value)
+            for value in serve_s:
+                observe("serve", value)
+
+    async def _fold_slot(
+        self,
+        t: int,
+        outcomes: list[EdgeSlotOutcome],
+        ingress: dict[int, dict] | None,
+    ) -> None:
+        """Count, merge and fold slot ``t`` (outcomes in global edge order),
+        then persist a due snapshot, apply a due reconfig, and release."""
+        observe = self._on_stage_sample
+        for outcome in outcomes:
+            self._count(outcome)
+        if self.ingress is not None and ingress:
+            self._merge_ingress(ingress, observe)
+        if observe is None:
+            self.aggregator.fold(t, outcomes)
+        else:
+            fold_start = time.monotonic()
+            self.aggregator.fold(t, outcomes)
+            folded = time.monotonic()
+            observe("trade", folded - fold_start)
+            released_at = self._release_ts.pop(t, None)
+            if released_at is not None:
+                observe("slot", folded - released_at)
+        self.completed_slot = t
+        self._slots_completed.increment()
+        every = self.config.snapshot_every
+        if every and (t + 1) % every == 0 and t + 1 < self.horizon:
+            await self._take_snapshot(t)
+        if self._barriers and self._barriers[0] == t + 1:
+            await self._apply_reconfig(self._barriers.pop(0))
+        await self._release_through(self._release_target(t))
+
+    def _count(self, outcome: EdgeSlotOutcome) -> None:
+        self._events_in.increment(outcome.arrivals)
+        if outcome.offline:
+            self._events_dropped_offline.increment(outcome.arrivals)
+        elif outcome.shed:
+            self._events_shed.increment(outcome.arrivals)
+        else:
+            self._events_served.increment(outcome.served)
+
+    def _merge_ingress(
+        self,
+        payloads: dict[int, dict],
+        observe: Callable[[str, float], None] | None,
+    ) -> None:
+        """Fold one slot's resolved request stats, in edge order.
+
+        Runs exactly once per folded slot.  Deferral wait samples feed
+        ``observe`` in units of *slots*.
+        """
+        assert self.ingress is not None
+        for _, payload in sorted(payloads.items()):
+            self.ingress.absorb(payload)
+            self._requests_in.increment(payload["in"])
+            self._requests_dropped.increment(payload["dropped"])
+            self._requests_deferred.increment(payload["deferred"])
+            self._deadline_hits.increment(payload["hits"])
+            self._deadline_misses.increment(payload["misses"])
+            if observe is not None:
+                for wait, count in sorted(payload["waits"].items()):
+                    for _ in range(count):
+                        observe("deferral", float(wait))
+
+    def _release_target(self, completed: int) -> int:
+        """Furthest slot safe to release after completing ``completed``."""
+        barrier = next((b for b in self._barriers if b > completed), None)
+        return release_target(
+            completed,
+            horizon=self.horizon,
+            lockstep=self.config.virtual_clock,
+            pipeline_depth=self.config.pipeline_depth,
+            snapshot_every=self.config.snapshot_every,
+            restart_state_every=self._restart_every,
+            barrier=barrier,
+        )
+
+    async def _release_through(self, target: int) -> None:
+        """Release slots up to ``target`` on the clock and to every worker."""
+        clock = self.clock
+        if target <= clock.released:
+            return
+        stamps = self._release_ts if self._on_stage_sample is not None else None
+        now = time.monotonic()
+        tracer = self.tracer
+        for t in range(clock.released + 1, target + 1):
+            if stamps is not None:
+                stamps[t] = now
+            if tracer.enabled:
+                tracer.emit(SlotStartEvent(t=t, horizon=self.horizon))
+        await clock.release(target)
+        frame = {"type": RELEASE, "upto": target}
+        self._broadcast(frame, self._handles)  # noqa: RPL012 - bounded retry backoff
+
+    async def _take_snapshot(self, t: int) -> None:
+        """Capture every edge's state at the quiescent boundary after slot
+        ``t`` and persist one file (in a thread, so the loop stays live)."""
+        if self.local:
+            busy = [e for e, queue in enumerate(self.queues) if queue.depth_items]
+            if busy:
+                raise RuntimeError(
+                    f"snapshot at slot boundary {t + 1} found non-quiescent "
+                    f"queues on edges {busy} — release capping is broken"
+                )
+            edges = [kernel.state_dict() for kernel in self.edge_kernels]
+            adapters = [adapter.state_dict() for adapter in self.adapters]
+        else:
+            states = await self._collect_snapshot(t)
+            if states is None:
+                return
+            edges, adapters = states
+        state = {
+            "label": self.label,
+            "config": self.config.to_dict(),
+            "next_slot": t + 1,
+            "edges": edges,
+            "adapters": adapters,
+            "trading": self.trading_kernel.state_dict(),
+            "arrays": self.aggregator.partial_arrays(t + 1),
+        }
+        path = self.config.snapshot_path
+        assert path is not None  # enforced by ServeConfig validation
+        await asyncio.to_thread(save_snapshot, path, state)
+        self._snapshots_taken.increment()
+        if self.tracer.enabled:
+            self.tracer.emit(SnapshotEvent(t=t, path=str(path)))
+
+    # -- process shards: the parent loop -----------------------------------
+
+    def _spawn_fleet(self, start: int, stop: int) -> None:
+        """Plan the run's fleet (reconfig-aware) and start its workers."""
         if self._reconfig is not None:
             self._active, self._num_workers = self._reconfig.fleet_at(
                 capacity=self.num_edges,
@@ -747,50 +1068,173 @@ class ShardRuntime(_BaseRuntime):
                 b for b in self._reconfig.barriers() if start < b < stop
             ]
             for e in range(self.num_edges):
-                if e in self._active:
-                    continue
-                payload = self._edge_payloads.get(e)
-                if payload is None:
-                    self._edge_payloads[e] = (None, None, start, "offline")
-                else:
-                    self._edge_payloads[e] = (*payload[:3], "offline")
+                if e not in self._active:
+                    self._mark_offline(e, start)
             if len(self._active) != self.num_edges:
                 self.trading_kernel.rescale_fleet(
                     len(self._active) / self.num_edges
                 )
-        self._stop_slot = stop
-        self._released = start - 1
-        handles = [
+        self._handles = [
             self._spawn_worker(
                 w, edges, start=start, stop=stop, replay_from=start, generation=0
             )
             for w, edges in enumerate(self.shards)
         ]
-        self._handles = handles
-        self._owner = {e: h for h in handles for e in h.edges}
-        if self.config.health_port is not None:
-            self.status_thread = _StatusThread(
-                {"/healthz": self.health, "/metrics": self.metrics},
-                port=self.config.health_port,
-            )
-            self.status_thread.start()
-            self.status_thread.wait_started()
+        self._owner = {e: h for h in self._handles for e in h.edges}
+
+    def _mark_offline(self, e: int, as_of: int) -> None:
+        """Record that edge ``e``'s slots from here on fold as offline."""
+        payload = self._edge_payloads.get(e)
+        if payload is None:
+            self._edge_payloads[e] = (None, None, as_of, "offline")
+        else:
+            self._edge_payloads[e] = (*payload[:3], "offline")
+
+    async def _fold_processes(self, stop: int) -> None:
+        """Fold slots as the workers report them until ``stop``."""
+        while True:
+            self._raise_failure()
+            await self._fold_ready()
+            if self.completed_slot >= stop - 1:
+                return
+            self._check_stalls()
+            await self._wait(self._until_next_stall())
+
+    async def _fold_ready(self) -> None:
+        """Fold every slot whose outcomes (or death synthesis) are complete.
+
+        Parent-synthesized offline outcomes (degraded shards) carry no
+        ingress payload and need none: their requests were never
+        generated, so ``requests_in`` never saw them and the request
+        identity is waived while any worker is degraded (mirrors the
+        ``total_events`` leg of the soak gate).
+        """
+        while self.completed_slot < self._stop_slot - 1:
+            t = self.completed_slot + 1
+            if not self._slot_complete(t):
+                return
+            bucket = self._pending.pop(t, {})
+            outcomes = [
+                bucket[e]
+                if e in bucket
+                else zero_cost_outcome(t, e, self._last_models.get(e, -1))
+                for e in range(self.num_edges)
+            ]
+            await self._fold_slot(t, outcomes, self._pending_ingress.pop(t, None))
+
+    def _slot_complete(self, t: int) -> bool:
+        bucket = self._pending.get(t, {})
+        for e in range(self.num_edges):
+            if e in bucket:
+                continue
+            owner = self._owner.get(e)
+            if owner is None or owner.failed:
+                continue  # inactive or degraded edge: the parent synthesizes
+            # A live (or restarting — its replacement will replay) owner
+            # still owes this slot.
+            return False
+        return True
+
+    def _wake(self) -> None:
+        """Resume the parent coroutine parked in :meth:`_wait`, if any."""
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_result(None)
+
+    async def _wait(self, timeout: float) -> None:
+        """Park until a pipe, sentinel or timer callback reports, or
+        ``timeout`` seconds pass."""
+        loop = asyncio.get_running_loop()
+        self._waiter = waiter = loop.create_future()
+        timer = loop.call_later(max(timeout, 0.0), self._wake)
         try:
-            self._await_ready(handles)
-            self._release_through(self._release_target_for(start - 1))
-            while self.completed_slot < stop - 1:
-                self._poll(self._handles, timeout=0.2)
-                self._service_restarts()
-                self._fold_ready()
-                self._check_stalls(self._handles)
+            await waiter
         finally:
-            self._shutdown(self._handles)
-            if self.status_thread is not None:
-                self.status_thread.stop()
-        # A partial run's edge state exited with the workers; only a
-        # snapshot file can continue it.
-        self._edge_state_slot = -1 if stop < self.horizon else stop
-        return self._finish(stop)
+            timer.cancel()
+            self._waiter = None
+
+    async def _until(
+        self, done: Callable[[], bool], timeout: float, *, check: bool = True
+    ) -> bool:
+        """Wait until ``done()`` holds; ``False`` if ``timeout`` ran out.
+
+        With ``check``, a failure raised in a callback meanwhile is
+        re-raised here.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            if check:
+                self._raise_failure()
+            if done():
+                return True
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return False
+            await self._wait(remaining)
+
+    def _fail(self, exc: BaseException) -> None:
+        if self._failure is None:
+            self._failure = exc
+
+    def _raise_failure(self) -> None:
+        if self._failure is not None:
+            raise self._failure
+
+    def _until_next_stall(self) -> float:
+        """Seconds until the earliest unfinished worker counts as stalled."""
+        now = time.monotonic()
+        due = [
+            h.last_frame + self._stall_timeout
+            for h in self._handles
+            if h.running and h.last_slot < self._stop_slot - 1
+        ]
+        return min(due, default=now + self._stall_timeout) - now
+
+    def _broadcast(self, frame: dict, handles: Sequence[_Shard]) -> None:
+        for handle in handles:
+            if handle.running:
+                try:
+                    send_frame(handle.conn, frame)
+                except (BrokenPipeError, OSError):
+                    pass  # the death will surface via the sentinel
+
+    async def _await_ready(self, handles: list[_Shard]) -> None:
+        if not await self._until(
+            lambda: all(h.ready or not h.running for h in handles),
+            self._start_timeout,
+        ):
+            missing = [h.index for h in handles if not h.ready]
+            raise RuntimeError(
+                f"timed out waiting for shard workers {missing} to start"
+            )
+
+    async def _request_states(
+        self,
+        frame: dict,
+        handles: list[_Shard],
+        what: str,
+        *,
+        abort: Callable[[], bool] = lambda: False,
+    ) -> dict[int, dict]:
+        """Send ``frame`` to the running ``handles``; await their ``state``
+        replies, by worker index.
+
+        A worker that stops running is not waited for; ``abort()`` ends
+        the wait early.
+        """
+        self._state_frames = states = {}
+        self._broadcast(frame, handles)  # noqa: RPL012 - bounded retry backoff
+        if not await self._until(
+            lambda: abort()
+            or all(not h.running or h.index in states for h in handles),
+            self._stall_timeout,
+        ):
+            missing = [
+                h.index for h in handles if h.running and h.index not in states
+            ]
+            raise RuntimeError(
+                f"timed out waiting for shard workers {missing}: {what}"
+            )
+        return states
 
     # -- process management ------------------------------------------------
 
@@ -804,7 +1248,7 @@ class ShardRuntime(_BaseRuntime):
         replay_from: int,
         generation: int,
     ) -> _Shard:
-        """Start one worker process and return its bookkeeping handle."""
+        """Start one worker process and watch its pipe and sentinel."""
         ctx = _mp_context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         resume = self._resume_payload(edges, replay_from)
@@ -839,6 +1283,9 @@ class ShardRuntime(_BaseRuntime):
             generation=generation,
             live_from=start,
         )
+        loop = asyncio.get_running_loop()
+        loop.add_reader(parent_conn.fileno(), self._on_readable, handle)
+        loop.add_reader(process.sentinel, self._on_exit, handle)
         if self.tracer.enabled:
             self.tracer.emit(
                 WorkerSpawnEvent(
@@ -880,37 +1327,30 @@ class ShardRuntime(_BaseRuntime):
             resume["catchup"][e] = (as_of, mode)
         return resume
 
-    def _await_ready(self, handles: list[_Shard]) -> None:
-        deadline = time.monotonic() + self._start_timeout
-        while any(h.running and not h.ready for h in handles):
-            if time.monotonic() > deadline:
-                missing = [h.index for h in handles if not h.ready]
-                raise RuntimeError(
-                    f"timed out waiting for shard workers {missing} to start"
-                )
-            self._poll(handles, timeout=0.1)
+    def _on_readable(self, handle: _Shard) -> None:
+        """Loop callback: dispatch every frame buffered on a worker's pipe."""
+        try:
+            try:
+                while handle.conn.poll():
+                    self._dispatch(handle, recv_frame(handle.conn))
+            except (EOFError, OSError):
+                self._handle_exit(handle)
+        except Exception as exc:  # noqa: BLE001 - re-raised by the run
+            self._fail(exc)
+        self._wake()
 
-    def _poll(self, handles: list[_Shard], *, timeout: float) -> None:
-        """Multiplex pipe reads and process-death sentinels in one wait."""
-        conn_map = {h.conn: h for h in handles if h.running and not h.eof}
-        sentinel_map = {h.process.sentinel: h for h in handles if h.running}
-        waitables = list(conn_map) + list(sentinel_map)
-        if not waitables:
-            return
-        ready = multiprocessing.connection.wait(waitables, timeout)
-        for obj in ready:
-            handle = conn_map.get(obj)
-            if handle is not None:
-                try:
-                    while handle.conn.poll():
-                        self._dispatch(handle, recv_frame(handle.conn))
-                except (EOFError, OSError):
-                    self._handle_exit(handle)
-            else:
-                handle = sentinel_map[obj]
+    def _on_exit(self, handle: _Shard) -> None:
+        """Loop callback: a worker process exited (its sentinel fired)."""
+        asyncio.get_running_loop().remove_reader(handle.process.sentinel)
+        handle.exited = True
+        try:
+            if handle.running:
                 for frame in drain_frames(handle.conn):
                     self._dispatch(handle, frame)
                 self._handle_exit(handle)
+        except Exception as exc:  # noqa: BLE001 - re-raised by the run
+            self._fail(exc)
+        self._wake()
 
     def _dispatch(self, handle: _Shard, frame: dict) -> None:
         handle.last_frame = time.monotonic()
@@ -937,12 +1377,7 @@ class ShardRuntime(_BaseRuntime):
                 observe = self._on_stage_sample
                 if died is not None and observe is not None:
                     observe("recovery", time.monotonic() - died)
-            observe = self._on_stage_sample
-            if observe is not None:
-                for value in frame["queue_s"]:
-                    observe("queue", value)
-                for value in frame["serve_s"]:
-                    observe("serve", value)
+            self._observe_steps(frame["queue_s"], frame["serve_s"])
         elif kind == READY:
             handle.ready = True
         elif kind == HEARTBEAT:
@@ -970,16 +1405,20 @@ class ShardRuntime(_BaseRuntime):
                     f"{frame['message']}\n{trail}"
                 )
 
+    def _detach(self, handle: _Shard) -> None:
+        """Stop reading from ``handle``: it is no longer a running worker."""
+        if handle.running:
+            handle.running = False
+            asyncio.get_running_loop().remove_reader(handle.conn.fileno())
+
     def _handle_exit(self, handle: _Shard) -> None:
         if not handle.running:
             return
-        handle.running = False
-        handle.eof = True
+        self._detach(handle)
         finished = handle.last_slot >= self._stop_slot - 1
         clean = finished or (handle.byed and not handle.errored)
-        if clean:
-            return
-        self._on_death(handle)
+        if not clean:
+            self._on_death(handle)
 
     def _on_death(self, handle: _Shard) -> None:
         """Route a worker death through the configured policy."""
@@ -1002,9 +1441,9 @@ class ShardRuntime(_BaseRuntime):
                 "on_worker_death='degrade' or 'restart' to complete without it"
             )
         if self._reconfiguring:
-            # The barrier respawn below supersedes any healing: the dead
-            # worker's edges fall back to their last checkpoint and catch
-            # up over the already-folded slots.
+            # The barrier respawn supersedes any healing: the dead worker's
+            # edges fall back to their last checkpoint and catch up over
+            # the already-folded slots.
             return
         if policy == "restart":
             used = self._restarts_used.get(handle.index, 0)
@@ -1014,25 +1453,27 @@ class ShardRuntime(_BaseRuntime):
                     self.config.restart_backoff_max_s,
                 )
                 handle.restarting = True
-                now = time.monotonic()
-                self._death_ts[handle.index] = now
-                self._restart_due[handle.index] = now + backoff
-                self._restart_backoff[handle.index] = backoff
+                self._death_ts[handle.index] = time.monotonic()
+                self._restart_due[handle.index] = (
+                    asyncio.get_running_loop().call_later(
+                        backoff, self._respawn_due, handle.index, backoff
+                    )
+                )
                 return
         # Degrade (or a restart budget exhausted): synthesized offline
         # outcomes stand in for this shard for every remaining slot.
         handle.failed = True
 
-    def _service_restarts(self) -> None:
-        """Respawn every worker whose backoff ticket has come due."""
-        if not self._restart_due:
-            return
-        now = time.monotonic()
-        for w in [w for w, due in self._restart_due.items() if due <= now]:
-            del self._restart_due[w]
-            self._respawn(w)
+    def _respawn_due(self, w: int, backoff: float) -> None:
+        """Timer callback: worker ``w``'s restart backoff has run out."""
+        del self._restart_due[w]
+        try:
+            self._respawn(w, backoff)
+        except Exception as exc:  # noqa: BLE001 - re-raised by the run
+            self._fail(exc)
+        self._wake()
 
-    def _respawn(self, w: int) -> None:
+    def _respawn(self, w: int, backoff: float) -> None:
         """Respawn worker ``w`` from its last-good state at the frontier.
 
         The new incarnation replays ``[replay_from, released + 1)`` as
@@ -1045,7 +1486,6 @@ class ShardRuntime(_BaseRuntime):
         old = self._handles[w]
         used = self._restarts_used.get(w, 0) + 1
         self._restarts_used[w] = used
-        backoff = self._restart_backoff.pop(w, 0.0)
         try:
             old.conn.close()
         except OSError:
@@ -1056,7 +1496,7 @@ class ShardRuntime(_BaseRuntime):
             if payload is not None
         ]
         replay_from = max([self.completed_slot + 1, *as_of])
-        start = self._released + 1
+        start = self.clock.released + 1
         handle = self._spawn_worker(
             w,
             old.edges,
@@ -1083,42 +1523,42 @@ class ShardRuntime(_BaseRuntime):
         # Hand the new incarnation the current release frontier: the
         # parent only broadcasts releases when the target advances, which
         # it might never do again near the end of the horizon.
-        if self._released >= 0:
-            try:
-                send_frame(
-                    handle.conn, {"type": RELEASE, "upto": self._released}
-                )
-            except (BrokenPipeError, OSError):
-                pass  # an immediate death will surface via the sentinel
+        if self.clock.released >= 0:
+            self._broadcast({"type": RELEASE, "upto": self.clock.released}, [handle])
 
-    def _check_stalls(self, handles: list[_Shard]) -> None:
+    def _check_stalls(self) -> None:
         now = time.monotonic()
-        for handle in handles:
+        for handle in self._handles:
             if not handle.running or handle.last_slot >= self._stop_slot - 1:
                 continue
             if now - handle.last_frame > self._stall_timeout:
-                handle.running = False
-                handle.eof = True
+                self._detach(handle)
                 handle.process.terminate()
                 self._on_death(handle)
 
-    def _shutdown(self, handles: list[_Shard]) -> None:
-        for handle in handles:
-            if handle.running and not handle.eof:
-                try:
-                    send_frame(handle.conn, {"type": DRAIN})
-                except (BrokenPipeError, OSError):
-                    pass
-        self._join_all(handles)
+    async def _shutdown(self) -> None:
+        for timer in self._restart_due.values():
+            timer.cancel()
+        self._restart_due.clear()
+        drain = {"type": DRAIN}
+        self._broadcast(drain, self._handles)  # noqa: RPL012 - bounded retry backoff
+        await self._retire(self._handles)
 
-    def _join_all(self, handles: list[_Shard]) -> None:
-        deadline = time.monotonic() + 10.0
+    async def _retire(self, handles: list[_Shard]) -> None:
+        """Stop reading from ``handles``, wait for their processes to exit
+        (terminating stragglers after 10 s), and close their pipes."""
         for handle in handles:
-            handle.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if handle.process.is_alive():
+            self._detach(handle)
+        await self._until(
+            lambda: all(h.exited for h in handles), 10.0, check=False
+        )
+        loop = asyncio.get_running_loop()
+        for handle in handles:
+            if not handle.exited:
+                loop.remove_reader(handle.process.sentinel)
+                handle.exited = True
                 handle.process.terminate()
-                handle.process.join(timeout=5.0)
-            handle.running = False
+            handle.process.join(timeout=5.0)
             try:
                 handle.conn.close()
             except OSError:
@@ -1126,7 +1566,7 @@ class ShardRuntime(_BaseRuntime):
 
     # -- live reconfiguration ----------------------------------------------
 
-    def _apply_reconfig(self, barrier: int) -> None:
+    async def _apply_reconfig(self, barrier: int) -> None:
         """Drain, reshape, and respawn the fleet at a quiescent barrier.
 
         Every slot below ``barrier`` is folded and releases were capped at
@@ -1137,41 +1577,23 @@ class ShardRuntime(_BaseRuntime):
         catch-up re-steps bit-exactly).
         """
         assert self._reconfig is not None
-        handles = self._handles
+        handles = list(self._handles)
         # The full respawn below supersedes any pending restart tickets.
+        for timer in self._restart_due.values():
+            timer.cancel()
         self._restart_due.clear()
-        self._restart_backoff.clear()
         self._death_ts.clear()
-        self._state_frames = {}
         self._reconfiguring = True
         try:
-            for handle in handles:
-                if handle.running:
-                    try:
-                        send_frame(
-                            handle.conn, {"type": RECONFIG, "barrier": barrier}
-                        )
-                    except (BrokenPipeError, OSError):
-                        pass
-            deadline = time.monotonic() + self._stall_timeout
-            while any(
-                h.running and h.index not in self._state_frames for h in handles
-            ):
-                if time.monotonic() > deadline:
-                    missing = [
-                        h.index
-                        for h in handles
-                        if h.running and h.index not in self._state_frames
-                    ]
-                    raise RuntimeError(
-                        f"timed out draining shard workers {missing} at "
-                        f"reconfig barrier {barrier}"
-                    )
-                self._poll(handles, timeout=0.1)
-            self._join_all(handles)
+            states = await self._request_states(
+                {"type": RECONFIG, "barrier": barrier},
+                handles,
+                f"their drain at reconfig barrier {barrier}",
+            )
+            await self._retire(handles)
         finally:
             self._reconfiguring = False
-        for frame in self._state_frames.values():
+        for frame in states.values():
             for e, kernel_state in frame["edges"].items():
                 self._edge_payloads[e] = (
                     kernel_state,
@@ -1179,7 +1601,6 @@ class ShardRuntime(_BaseRuntime):
                     barrier,
                     "live",
                 )
-        self._state_frames = {}
         active = set(self._active)
         workers = self._num_workers
         old_count = len(active)
@@ -1199,13 +1620,8 @@ class ShardRuntime(_BaseRuntime):
         self._active = tuple(sorted(active))
         self._num_workers = workers
         for e in range(self.num_edges):
-            if e in active:
-                continue
-            payload = self._edge_payloads.get(e)
-            if payload is None:
-                self._edge_payloads[e] = (None, None, barrier, "offline")
-            else:
-                self._edge_payloads[e] = (*payload[:3], "offline")
+            if e not in active:
+                self._mark_offline(e, barrier)
         if len(active) != old_count:
             # Deterministic dual-state and trade-bound rescale; a factor
             # of 1.0 short-circuits, keeping no-op plans bit-exact.
@@ -1224,133 +1640,37 @@ class ShardRuntime(_BaseRuntime):
         ]
         self._handles[:] = new_handles
         self._owner = {e: h for h in new_handles for e in h.edges}
-        self._await_ready(new_handles)
+        await self._await_ready(new_handles)
 
-    # -- the slot fold -----------------------------------------------------
+    async def _collect_snapshot(
+        self, t: int
+    ) -> tuple[list[object], list[object]] | None:
+        """Every worker's edge states at the boundary after slot ``t``.
 
-    def _next_barrier(self, completed: int) -> int | None:
-        for b in self._barriers:
-            if b > completed:
-                return b
-        return None
-
-    def _release_target_for(self, completed: int) -> int:
-        return release_target(
-            completed,
-            horizon=self.horizon,
-            lockstep=self.config.virtual_clock,
-            pipeline_depth=self.config.pipeline_depth,
-            snapshot_every=self.config.snapshot_every,
-            restart_state_every=(
-                self.config.restart_state_every
-                if self.config.on_worker_death == "restart"
-                else 0
-            ),
-            barrier=self._next_barrier(completed),
-        )
-
-    def _release_through(self, target: int) -> None:
-        if target <= self._released:
-            return
-        now = time.monotonic()
-        tracer = self.tracer
-        for t in range(self._released + 1, target + 1):
-            self._release_ts[t] = now
-            if tracer.enabled:
-                tracer.emit(SlotStartEvent(t=t, horizon=self.horizon))
-        frame = {"type": RELEASE, "upto": target}
-        for handle in self._handles:
-            if handle.running:
-                try:
-                    send_frame(handle.conn, frame)
-                except (BrokenPipeError, OSError):
-                    pass  # the death will surface via the sentinel
-        self._released = target
-
-    def _slot_complete(self, t: int) -> bool:
-        bucket = self._pending.get(t, {})
-        for e in range(self.num_edges):
-            if e in bucket:
-                continue
-            owner = self._owner.get(e)
-            if owner is None or owner.failed:
-                continue  # inactive or degraded edge: the parent synthesizes
-            # A live (or restarting — its replacement will replay) owner
-            # still owes this slot.
-            return False
-        return True
-
-    def _fold_ready(self) -> None:
-        """Fold every slot whose outcomes (or death synthesis) are complete.
-
-        Parent-synthesized offline outcomes (degraded shards) carry no
-        ingress payload and need none: their requests were never
-        generated, so ``requests_in`` never saw them and the request
-        identity is waived while any worker is degraded (mirrors the
-        ``total_events`` leg of the soak gate).
-        """
-        observe = self._on_stage_sample
-        while self.completed_slot < self._stop_slot - 1:
-            t = self.completed_slot + 1
-            if not self._slot_complete(t):
-                return
-            bucket = self._pending.pop(t, {})
-            outcomes = [
-                bucket[e]
-                if e in bucket
-                else zero_cost_outcome(t, e, self._last_models.get(e, -1))
-                for e in range(self.num_edges)
-            ]
-            self._fold(t, outcomes, self._pending_ingress.pop(t, None), observe)
-            released_at = self._release_ts.pop(t, None)
-            if observe is not None and released_at is not None:
-                observe("slot", time.monotonic() - released_at)
-            every = self.config.snapshot_every
-            if every and (t + 1) % every == 0 and t + 1 < self.horizon:
-                self._take_snapshot(t)
-            if self._barriers and self._barriers[0] == t + 1:
-                self._apply_reconfig(self._barriers.pop(0))
-            self._release_through(self._release_target_for(t))
-
-    def _take_snapshot(self, t: int) -> None:
-        """Gather worker states at the quiescent boundary, persist one file.
-
-        Degraded runs are not resumable — once any shard is dead, snapshots
-        are skipped (the run still completes under ``degrade``).  Boundaries
-        that race a pending or in-flight restart are skipped too: a
-        replaying incarnation's kernels are not at the boundary state.
+        ``None`` skips this boundary.  Degraded runs are not resumable —
+        once any shard is dead, snapshots are skipped (the run still
+        completes under ``degrade``).  Boundaries that race a pending or
+        in-flight restart are skipped too: a replaying incarnation's
+        kernels are not at the boundary state.
         """
         if self._restart_due or any(
             h.failed or h.restarting for h in self._handles
         ):
-            return
+            return None
         if any(h.live_from > t + 1 for h in self._handles):
-            return  # a respawned worker is still past-due; skip this boundary
-        self._state_frames = {}
-        live = [h for h in self._handles if h.running]
-        for handle in live:
-            try:
-                send_frame(handle.conn, {"type": SNAPSHOT_REQUEST})
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.monotonic() + self._stall_timeout
-        while True:
-            waiting = [
-                h for h in live if h.running and h.index not in self._state_frames
-            ]
-            if not waiting:
-                break
-            if any(h.failed or h.restarting for h in self._handles):
-                return  # a death raced the snapshot; skip persisting
-            if time.monotonic() > deadline:
-                raise RuntimeError(
-                    f"timed out waiting for shard state from "
-                    f"{[h.index for h in waiting]}"
-                )
-            self._poll(self._handles, timeout=0.1)
+            return None  # a respawned worker is still past-due
+        deaths = self._shard_deaths.value
+        states = await self._request_states(
+            {"type": SNAPSHOT_REQUEST},
+            self._handles,
+            "their snapshot state",
+            abort=lambda: self._shard_deaths.value != deaths,
+        )
+        if self._shard_deaths.value != deaths:
+            return None  # a death raced the snapshot; skip persisting
         edges: list[object] = [None] * self.num_edges
         adapters: list[object] = [None] * self.num_edges
-        for frame in self._state_frames.values():
+        for frame in states.values():
             for e, kernel_state in frame["edges"].items():
                 edges[e] = kernel_state
             for e, adapter_state in frame["adapters"].items():
@@ -1363,49 +1683,22 @@ class ShardRuntime(_BaseRuntime):
                 f"snapshot at slot {t + 1} is missing state for edges "
                 f"{missing}; a worker exited before answering"
             )
-        self._save_snapshot(t, self._snapshot_state(t + 1, edges, adapters))
+        return edges, adapters
 
 
-# --------------------------------------------------------------------------
-# Dispatchers
-# --------------------------------------------------------------------------
+#: The runtime's other public names: both bind the one class.
+ShardRuntime = ServeRuntime
+make_runtime = ServeRuntime
+runtime_from_snapshot = ServeRuntime.from_snapshot
 
 
-def _is_sharded(config: ServeConfig, shard_kwargs: dict) -> bool:
-    """Whether a run needs the sharded supervisor.
-
-    Chaos and reconfig plans are shard-runtime features: passing either
-    forces the sharded supervisor even for a single worker.
-    """
-    return config.num_workers > 1 or any(
-        shard_kwargs.get(key) is not None for key in ("chaos", "reconfig")
-    )
-
-
-def make_runtime(
+def serve_run(
     config: ServeConfig,
     *,
     tracer: Tracer | None = None,
     faults: FaultPlan | None = None,
-    **shard_kwargs,
-) -> ServeRuntime | ShardRuntime:
-    """The runtime matching ``config.num_workers`` (1 = in-process)."""
-    if _is_sharded(config, shard_kwargs):
-        return ShardRuntime(config, tracer=tracer, faults=faults, **shard_kwargs)
-    return ServeRuntime(config, tracer=tracer, faults=faults)
-
-
-def runtime_from_snapshot(
-    path: str | Path,
-    *,
-    tracer: Tracer | None = None,
-    faults: FaultPlan | None = None,
-    **shard_kwargs,
-) -> ServeRuntime | ShardRuntime:
-    """Resume whichever runtime class the snapshot's config asks for."""
-    config = ServeConfig.from_dict(load_snapshot(path)["config"])
-    if _is_sharded(config, shard_kwargs):
-        return ShardRuntime.from_snapshot(
-            path, tracer=tracer, faults=faults, **shard_kwargs
-        )
-    return ServeRuntime.from_snapshot(path, tracer=tracer, faults=faults)
+    max_slots: int | None = None,
+) -> SimulationResult | None:
+    """One-call serve API: build a runtime, run it, return the result."""
+    runtime = ServeRuntime(config, tracer=tracer, faults=faults)
+    return runtime.run(max_slots=max_slots)

@@ -1,11 +1,13 @@
-"""Wall-clock soak harness for the sharded edge tier.
+"""Wall-clock soak harness for the serving runtime.
 
-``repro soak`` drives :class:`~repro.serve.shard.ShardRuntime` under the
-deterministic load shapes of :mod:`repro.serve.load` and reports, per
-shape:
+``repro soak`` drives :class:`~repro.serve.shard.ServeRuntime` under the
+deterministic load shapes of :mod:`repro.serve.load` — in the parent
+process as a local shard at one worker, in worker processes above that —
+and reports, per shape:
 
-* per-stage latency quantiles (p50/p95/p99) from a streaming P² sketch —
-  ``queue`` (enqueue to dequeue inside a worker), ``serve`` (kernel step),
+* per-stage latency quantiles (p50/p95/p99) from a streaming P² sketch,
+  fed through the runtime's ``on_stage_sample`` seam —
+  ``queue`` (enqueue to dequeue where the edge runs), ``serve`` (kernel step),
   ``trade`` (parent fold + allowance-trading step), and ``slot``
   (release to fold, end-to-end);
 * throughput (served events per wall second);
@@ -47,7 +49,7 @@ from repro.serve.chaos import ChaosPlan
 from repro.serve.config import ServeConfig
 from repro.serve.load import SHAPE_NAMES
 from repro.serve.reconfig import ReconfigPlan
-from repro.serve.shard import ShardRuntime
+from repro.serve.shard import ServeRuntime
 from repro.sim.config import ScenarioConfig
 
 if TYPE_CHECKING:  # import cycle: repro.ingress imports repro.serve
@@ -340,7 +342,7 @@ def run_soak(
     on_worker_death: str | None = None,
     ingress: "IngressConfig | None" = None,
 ) -> SoakReport:
-    """Soak one load shape through a sharded wall-clock run.
+    """Soak one load shape through a wall-clock run on ``num_workers``.
 
     Wall clock with shedding backpressure — the production-shaped
     configuration — and ``slot_duration=0`` free-running by default so CI
@@ -399,7 +401,7 @@ def run_soak(
         stage_stats.observe(seconds)
 
     tracer = Tracer()  # fresh counters per run; no event sinks
-    runtime = ShardRuntime(
+    runtime = ServeRuntime(
         config,
         tracer=tracer,
         on_stage_sample=observe,

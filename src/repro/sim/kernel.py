@@ -582,8 +582,8 @@ class SlotAggregator:
     emissions, so every engine ends a slot the same way: sum the slot's
     outcomes in global edge order (the float-summation order the golden
     digests pin), then step the trading kernel once.  The scalar simulator
-    loop, the in-process serve runtime and the sharded parent all call
-    :meth:`fold`; the vectorized fast path fills :attr:`arrays` in place
+    loop and the serve runtime's parent (for a local shard and for worker
+    processes alike) call :meth:`fold`; the vectorized fast path fills :attr:`arrays` in place
     with the same per-slot addition sequence.  Also holds the arrays'
     snapshot/restore halves and the one :class:`SimulationResult` assembly.
     """

@@ -141,6 +141,29 @@ class TestTraceCommand:
             assert payload["type"] in ("model_switch", "block_boundary")
 
 
+class TestServeCommand:
+    def test_one_worker_chaos_run_writes_its_worker_trace(self, capsys, tmp_path):
+        # A chaos plan puts even a single worker in a process; its edge-side
+        # events must land in the per-worker log beside the parent's.
+        from repro.obs import read_events
+        from repro.serve import ChaosPlan, WorkerStall
+
+        plan = tmp_path / "chaos.json"
+        plan.write_text(
+            ChaosPlan((WorkerStall(worker=0, at=2, seconds=0.01),)).to_json()
+        )
+        out = tmp_path / "serve.jsonl"
+        code = main(
+            ["serve", "--edges", "3", "--horizon", "10", "--workers", "1",
+             "--chaos", str(plan), "--trace-output", str(out)]
+        )
+        assert code == 0
+        shard_log = Path(f"{out}.shard0")
+        assert shard_log.exists()
+        arrivals = [e for e in read_events(shard_log) if e.type == "arrival"]
+        assert len(arrivals) == 3 * 10
+
+
 class TestExperimentCommand:
     def test_runs_named_figure(self, capsys):
         code = main(["experiment", "fig14", "--no-cache"])

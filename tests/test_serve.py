@@ -283,10 +283,24 @@ class TestShardedParity:
         assert result_digest(result) == GOLDEN_DIGESTS[("A", 0)]
 
     def test_make_runtime_dispatches_on_worker_count(self):
-        assert isinstance(make_runtime(serve_config("A", 0)), ServeRuntime)
-        assert isinstance(
-            make_runtime(serve_config("A", 0, num_workers=2)), ShardRuntime
-        )
+        # One worker keeps the edges in the parent (no worker process);
+        # more workers, or a chaos plan, put them in worker processes.
+        from repro.serve import ChaosPlan, WorkerStall
+
+        stall = ChaosPlan((WorkerStall(worker=0, at=2, seconds=0.01),))
+        for workers, chaos, spawns in ((1, None, 0), (2, None, 2), (1, stall, 1)):
+            tracer = Tracer()
+            runtime = make_runtime(
+                serve_config("A", 0, num_workers=workers),
+                tracer=tracer,
+                chaos=chaos,
+                heartbeat_interval=0.05,
+            )
+            assert result_digest(runtime.run()) == GOLDEN_DIGESTS[("A", 0)]
+            assert tracer.event_counts().get("worker_spawn", 0) == spawns, (
+                workers,
+                chaos,
+            )
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_noop_reconfig_plan_matches_golden_digests(self, workers):
@@ -580,7 +594,7 @@ class TestStatusEndpoint:
         assert served == 3
 
     def test_healthz_and_metrics_during_a_run(self):
-        async def scenario():
+        async def scenario(num_workers):
             scenario_cfg = ScenarioConfig(
                 dataset="synthetic", num_edges=2, horizon=25, seed=4
             )
@@ -590,6 +604,7 @@ class TestStatusEndpoint:
                 virtual_clock=False,
                 slot_duration=0.02,
                 health_port=0,
+                num_workers=num_workers,
             )
             runtime = ServeRuntime(config, tracer=Tracer())
             task = asyncio.create_task(runtime.run_async())
@@ -602,14 +617,19 @@ class TestStatusEndpoint:
             result = await task
             return health, metrics, result
 
-        health, metrics, result = asyncio.run(scenario())
-        assert health[0] == 200
-        assert health[1]["status"] in ("serving", "done")
-        assert health[1]["horizon"] == 25
-        assert len(health[1]["queues"]) == 2
-        assert metrics[0] == 200
-        assert "counters" in metrics[1] and "events" in metrics[1]
-        assert result is not None and result.horizon == 25
+        # One worker serves from a local shard; two serve from worker
+        # processes, and the same parent loop answers both.
+        for num_workers in (1, 2):
+            health, metrics, result = asyncio.run(scenario(num_workers))
+            assert health[0] == 200
+            assert health[1]["status"] in ("serving", "done")
+            assert health[1]["horizon"] == 25
+            assert len(health[1]["queues"]) == 2
+            if num_workers == 2:
+                assert len(health[1]["shards"]) == 2
+            assert metrics[0] == 200
+            assert "counters" in metrics[1] and "events" in metrics[1]
+            assert result is not None and result.horizon == 25
 
 
 class TestServeCli:

@@ -230,23 +230,26 @@ class TestSoakReportSchema:
 class TestRunSoakProperties:
     @pytest.mark.parametrize("shape", SHAPE_NAMES)
     def test_accounting_exact_under_every_shape(self, shape):
-        report = run_soak(
-            shape,
-            num_edges=3,
-            num_workers=2,
-            horizon=16,
-            total_events=600,
-            seed=1,
-        )
-        assert report.accounting_ok
-        assert report.events_in == 600
-        assert report.events_in == (
-            report.events_served
-            + report.events_shed
-            + report.events_dropped_offline
-        )
-        for stage in ("queue", "serve", "trade", "slot"):
-            assert report.stages[stage]["count"] > 0
+        # One worker soaks the local shard in the parent; two soak worker
+        # processes.  Both feed every stage through on_stage_sample.
+        for num_workers in (1, 2):
+            report = run_soak(
+                shape,
+                num_edges=3,
+                num_workers=num_workers,
+                horizon=16,
+                total_events=600,
+                seed=1,
+            )
+            assert report.accounting_ok, num_workers
+            assert report.events_in == 600
+            assert report.events_in == (
+                report.events_served
+                + report.events_shed
+                + report.events_dropped_offline
+            )
+            for stage in ("queue", "serve", "trade", "slot"):
+                assert report.stages[stage]["count"] > 0, (num_workers, stage)
 
     def test_observer_builds_one_stage_stats_per_stage(self, monkeypatch):
         # Each stage's sketches are built once and reused: a sample must
