@@ -4,12 +4,13 @@ The stack below this package is slot-granular — arrival *counts*
 ``M_i^t`` flow into :class:`~repro.sim.kernel.EdgeSlotKernel` and the
 aggregator.  ``repro.ingress`` adds the request level on top:
 
-* :mod:`repro.ingress.request` — the immutable :class:`Request` model
-  and :class:`SlaClass` service tiers;
+* :mod:`repro.ingress.request` — the :class:`SlaClass` service tiers
+  and the deadline clamp;
 * :mod:`repro.ingress.generator` — deterministic thinning of the base
-  slot counts into per-class requests (exact conservation);
+  slot counts into per-class request counts (exact conservation);
 * :mod:`repro.ingress.router` — admission, deadline-ordered deferral
-  queues, and carbon-aware release using price look-ahead;
+  and carbon-aware release using price look-ahead, over queues of
+  cohorts (one class's requests from one arrival slot, held as a count);
 * :mod:`repro.ingress.stats` — per-slot payloads and run-level SLA
   accounting;
 * :mod:`repro.ingress.adapter` — the aggregation seam that disguises
@@ -23,7 +24,7 @@ the CLI via ``repro serve --ingress [CONFIG.json]`` and ``repro soak
 from repro.ingress.adapter import IngressAdapter, wrap_with_ingress
 from repro.ingress.config import DEFAULT_CLASSES, IngressConfig
 from repro.ingress.generator import RequestThinner
-from repro.ingress.request import Request, SlaClass, clamp_deadline
+from repro.ingress.request import SlaClass, clamp_deadline
 from repro.ingress.router import IngressRouter
 from repro.ingress.stats import IngressStats, resolve_payload
 
@@ -33,7 +34,6 @@ __all__ = [
     "IngressConfig",
     "IngressRouter",
     "IngressStats",
-    "Request",
     "RequestThinner",
     "SlaClass",
     "clamp_deadline",

@@ -60,7 +60,9 @@ class IngressConfig:
         Queue-overflow policy: ``admit`` (unbounded), ``drop-oldest``
         (evict the earliest-deadline queued request), or ``deadline-shed``
         (evict whichever request — newcomer included — has the most
-        deadline slack).
+        deadline slack).  With deferral on, the newest arrivals of a class
+        always have the most slack, so ``deadline-shed`` always sheds the
+        newest arrivals.
     queue_capacity:
         Per-class deferral-queue bound in requests; 0 means unbounded.
     slot_capacity:

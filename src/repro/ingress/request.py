@@ -1,21 +1,22 @@
-"""The request model: SLA classes and individual requests.
+"""SLA classes and the deadline rule.
 
 Everything below the ingress tier is slot-granular arrival *counts*
-(``M_i^t``); this module is where individual requests exist.  A
-:class:`Request` is immutable and fully determined at arrival: its
-deadline is ``arrival_slot + deadline_slots`` for its class, clamped to
-the last slot of the horizon so every request can always be released
-before the run ends (the accounting equation stays exact by
-construction).  An :class:`SlaClass` describes one service tier: its
-share of the thinned traffic, its deadline budget, its release priority,
-and whether the router may voluntarily defer it to a cheaper slot.
+(``M_i^t``), and the router keeps counts too: requests exist only as
+cohorts of one class and one arrival slot.  An :class:`SlaClass`
+describes one service tier: its share of the thinned traffic, its
+deadline budget, its release priority, and whether the router may
+voluntarily defer it to a cheaper slot.  A request's deadline is
+``arrival_slot + deadline_slots`` for its class, clamped to the last slot
+of the horizon (:func:`clamp_deadline`) so every request can always be
+released before the run ends (the accounting equation stays exact by
+construction).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Request", "SlaClass", "clamp_deadline"]
+__all__ = ["SlaClass", "clamp_deadline"]
 
 
 @dataclass(frozen=True)
@@ -57,18 +58,6 @@ class SlaClass:
                 f"class {self.name!r}: deadline_slots must be >= 0, "
                 f"got {self.deadline_slots}"
             )
-
-
-@dataclass(frozen=True)
-class Request:
-    """One inference request flowing through the ingress tier."""
-
-    seq: int
-    edge: int
-    arrival_slot: int
-    sla: str
-    deadline_slot: int
-    priority: int
 
 
 def clamp_deadline(arrival_slot: int, deadline_slots: int, horizon: int) -> int:

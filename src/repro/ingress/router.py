@@ -1,43 +1,49 @@
 """The carbon-aware ingress router: admission, deferral, release.
 
 One router instance fronts one edge.  Each slot it ingests that edge's
-thinned per-class request counts and decides, per request, between three
-fates: **release now** (the request joins the slot's ``M_i^t`` count and
-is served by the edge kernel), **defer** (the request waits in a
-deadline-ordered heap for a cheaper forecast slot or for slot capacity),
-or **drop** (admission policy under queue overflow).
+thinned per-class request counts and gives each request one of three
+fates: **release now** (it joins the slot's ``M_i^t`` count and the edge
+kernel serves it), **defer** (it waits for a cheaper forecast slot or for
+slot capacity), or **drop** (admission policy under queue overflow).
 
-Two scheduling regimes, selected by ``config.deferral``:
+The router holds counts, not requests.  A class's deadline budget is
+constant, so one class's arrivals in one slot share a deadline and a
+contiguous ``seq`` run: one *cohort* ``[deadline_slot, arrival_slot,
+class_index, first_seq, count]``.  Queues are deques of cohorts in
+arrival order; every release, deferral and drop is a count split of a
+head or tail cohort.  Two regimes, selected by ``config.deferral``:
 
-* **deferral on** — per-SLA-class ``heapq`` queues keyed
-  ``(deadline_slot, seq)``; deadline order equals FIFO order within a
-  class because a class's deadline budget is constant.  Releases run
-  deadline-forced requests first (capacity-exempt — deadline beats
-  throttle), then fill remaining slot capacity by class priority,
-  holding back deferrable requests whose look-ahead forecast
+* **deferral on** — one queue per SLA class, sorted by ``(deadline, seq)``
+  because arrival order is deadline order within a class.  Deadline-forced
+  cohorts release first (capacity-exempt — deadline beats throttle), then
+  remaining slot capacity fills by class priority.  A deferrable class is
+  held back once its head cohort's look-ahead forecast
   (:mod:`repro.forecast.price_models`) shows a cheaper slot within
-  deadline.  The hold-back check is a valid heap-prefix cut: the top of a
-  class heap has the *earliest* deadline, so its look-ahead window is a
-  subset of every deeper entry's window — if the top prefers to wait, so
-  does everything under it.
-* **deferral off** — one plain FIFO per edge, deadline- and
-  carbon-blind.  With ``slot_capacity == 0`` every request releases in
+  deadline: the head has the earliest deadline, so its look-ahead window
+  is a subset of every later cohort's — if it waits, so does the rest.
+* **deferral off** — one deadline- and carbon-blind FIFO of ``(arrival,
+  class)`` cohorts.  With ``slot_capacity == 0`` every request releases in
   its arrival slot, reproducing the non-ingress adapter path bit-exactly;
-  with a capacity it models the naive baseline the example study
-  compares against (spill releases in arrival order, whatever the SLA).
+  with a capacity it is the naive baseline the example study compares
+  against (spill releases in arrival order, whatever the SLA).
 
-Determinism: routing consumes no randomness at all — given the thinned
-counts and the price trace, every decision is a pure function of config
-and slot index.  The final slot force-releases everything (deadlines are
-clamped to ``horizon - 1``), so no request is ever left in a queue and
-request accounting closes exactly.
+Overflow past ``queue_capacity``: ``drop-oldest`` trims the queue's head,
+``deadline-shed`` trims cohorts newest-first in descending ``(deadline,
+first_seq)`` order — with deferral on, always the arriving cohort.
+
+Determinism: routing consumes no randomness — every decision is a pure
+function of the thinned counts, the price trace, config and slot index.
+The final slot force-releases everything (deadlines clamp to
+``horizon - 1``), so no request is left queued and request accounting
+closes exactly.
 """
 
 from __future__ import annotations
 
 import copy
-import heapq
+import functools
 from collections import deque
+from collections.abc import Callable
 
 import numpy as np
 
@@ -46,8 +52,8 @@ from repro.ingress.request import clamp_deadline
 
 __all__ = ["IngressRouter"]
 
-#: Queue entry layout: (deadline_slot, seq, arrival_slot, class_index).
-_DEADLINE, _SEQ, _ARRIVAL, _CLASS = 0, 1, 2, 3
+#: Cohort layout: the requests of one class that arrived in one slot.
+_DEADLINE, _ARRIVAL, _CLASS, _FIRST, _COUNT = range(5)
 
 
 class IngressRouter:
@@ -65,16 +71,26 @@ class IngressRouter:
             key=lambda ci: (-self.classes[ci].priority, self.classes[ci].name),
         )
         self._seq = 0
-        self._heaps: list[list[tuple[int, int, int, int]]] = [
-            [] for _ in self.classes
+        self._queues: list[deque[list[int]]] = [
+            deque() for _ in range(len(self.classes) if config.deferral else 1)
         ]
-        self._fifo: deque[tuple[int, int, int, int]] = deque()
         self._forecaster = config.make_forecaster()
 
     @property
     def depth(self) -> int:
         """Requests currently queued (all classes)."""
-        return len(self._fifo) + sum(len(heap) for heap in self._heaps)
+        return sum(cohort[_COUNT] for queue in self._queues for cohort in queue)
+
+    @property
+    def _heaps(self) -> list[list[tuple[int, int, int, int]]]:
+        """Read-only per-class view of the queues: one ``(deadline, seq,
+        arrival, class)`` tuple per queued request (tests and debugging)."""
+        cohorts = [cohort for queue in self._queues for cohort in queue]
+        return [
+            [(deadline, seq, arrival, c) for deadline, arrival, c, first, n in cohorts
+             if c == ci for seq in range(first, first + n)]
+            for ci in range(len(self.classes))
+        ]
 
     def step(
         self, t: int, counts: np.ndarray | list[int], price: float
@@ -87,177 +103,155 @@ class IngressRouter:
         structure (decisions at ``t`` use prices up to ``t`` only).
         """
         self._forecaster.update(price)
-        defer_cache: dict[int, bool] = {}
-        total_in = int(np.sum(counts))
-        dropped = 0
-        released: list[tuple[int, int, int, int]] = []
+        total_in = 0
+        for ci, n in enumerate(map(int, counts)):
+            if n:
+                deadline = clamp_deadline(
+                    t, self.classes[ci].deadline_slots, self.horizon
+                )
+                queue = self._queues[ci if self.config.deferral else 0]
+                queue.append([deadline, t, ci, self._seq, n])
+                self._seq += n
+                total_in += n
 
+        released: list[list[int]] = []
         if self.config.deferral:
-            dropped += self._admit_heaps(t, counts)
-            released = self._release_heaps(t, price, defer_cache)
+            dropped = sum(self._trim(queue) for queue in self._queues)
+            # Deadline-forced releases are capacity-exempt: a request whose
+            # deadline is now goes out now, throttle or not.  On the final
+            # slot every deadline has clamped to t, so this drains everything.
+            count = 0
+            for ci in self._release_order:
+                count = self._release(
+                    self._queues[ci], released, count, 0,
+                    lambda head: head[_DEADLINE] > t,
+                )
+            wait = functools.partial(self._prefer_wait, t, price, {})
+            for ci in self._release_order:
+                count = self._release(
+                    self._queues[ci], released, count, self.config.slot_capacity,
+                    wait if self.classes[ci].deferrable else None,
+                )
         else:
-            released, fifo_dropped = self._route_fifo(t, counts)
-            dropped += fifo_dropped
+            capacity = 0 if t == self.horizon - 1 else self.config.slot_capacity
+            count = self._release(self._queues[0], released, 0, capacity)
+            dropped = self._trim(self._queues[0])
 
-        per_class: dict[str, list[int]] = {
-            cls.name: [0, 0] for cls in self.classes
-        }
+        per_class: dict[str, list[int]] = {cls.name: [0, 0] for cls in self.classes}
         waits: dict[int, int] = {}
-        for entry in released:
-            stats = per_class[self.classes[entry[_CLASS]].name]
-            stats[0] += 1
-            if t <= entry[_DEADLINE]:
-                stats[1] += 1
-            wait = t - entry[_ARRIVAL]
-            if wait:
-                waits[wait] = waits.get(wait, 0) + 1
+        for deadline, arrival, ci, _, n in released:
+            stats = per_class[self.classes[ci].name]
+            stats[0] += n
+            if t <= deadline:
+                stats[1] += n
+            if t > arrival:
+                waits[t - arrival] = waits.get(t - arrival, 0) + n
 
-        # This slot's arrivals still queued at slot end — counted by scan
-        # (queues are small) so admission evictions of *older* entries can
-        # never push the tally negative.
-        deferred = sum(
-            1 for entry in self._fifo if entry[_ARRIVAL] == t
-        ) + sum(
-            1
-            for heap in self._heaps
-            for entry in heap
-            if entry[_ARRIVAL] == t
-        )
+        # This slot's arrivals still queued at slot end: the trailing
+        # cohorts of each queue that arrived at t.
+        deferred = 0
+        for queue in self._queues:
+            for cohort in reversed(queue):
+                if cohort[_ARRIVAL] != t:
+                    break
+                deferred += cohort[_COUNT]
         provisional: dict[str, object] = {
             "in": total_in,
             "dropped": dropped,
-            "released": len(released),
+            "released": count,
             "deferred": deferred,
             "queued": self.depth,
             "per_class": per_class,
             "waits": waits,
         }
-        return len(released), provisional
+        return count, provisional
 
     # ------------------------------------------------------------------
-    # deferral-on regime: per-class deadline heaps
+    # release and trim: count splits of head and tail cohorts
 
-    def _admit_heaps(self, t: int, counts: np.ndarray | list[int]) -> int:
-        """Push the slot's arrivals into class heaps; returns drops."""
-        capacity = self.config.queue_capacity
-        policy = self.config.admission
-        dropped = 0
-        for ci, count in enumerate(counts):
-            deadline = clamp_deadline(t, self.classes[ci].deadline_slots, self.horizon)
-            heap = self._heaps[ci]
-            for _ in range(int(count)):
-                entry = (deadline, self._seq, t, ci)
-                self._seq += 1
-                if capacity and len(heap) >= capacity and policy != "admit":
-                    if policy == "drop-oldest":
-                        heapq.heappop(heap)
-                        dropped += 1
-                    else:  # deadline-shed: evict the slackest request
-                        slackest = max(range(len(heap)), key=lambda j: heap[j][:2])
-                        if heap[slackest][:2] > entry[:2]:
-                            heap[slackest] = heap[-1]
-                            heap.pop()
-                            heapq.heapify(heap)
-                        else:
-                            dropped += 1
-                            continue
-                        dropped += 1
-                heapq.heappush(heap, entry)
-        return dropped
+    @staticmethod
+    def _release(
+        queue: deque[list[int]], released: list[list[int]], count: int,
+        capacity: int, hold: Callable[[list[int]], bool] | None = None,
+    ) -> int:
+        """Release head requests until the queue empties, ``count`` reaches
+        ``capacity`` (0: no cap) or ``hold(head)``; returns the new count."""
+        while queue and (not capacity or count < capacity):
+            head = queue[0]
+            if hold is not None and hold(head):
+                break
+            take = min(capacity - count, head[_COUNT]) if capacity else head[_COUNT]
+            if take == head[_COUNT]:
+                released.append(queue.popleft())
+            else:
+                released.append([*head[:_COUNT], take])
+                head[_FIRST] += take
+                head[_COUNT] -= take
+            count += take
+        return count
 
-    def _release_heaps(
-        self, t: int, price: float, defer_cache: dict[int, bool]
-    ) -> list[tuple[int, int, int, int]]:
-        """Pop this slot's releases: forced first, then capacity fill."""
-        released: list[tuple[int, int, int, int]] = []
-        # Deadline-forced releases are capacity-exempt: a request whose
-        # deadline is now goes out now, throttle or not.  On the final slot
-        # every deadline has clamped to t, so this pass drains everything.
-        for ci in self._release_order:
-            heap = self._heaps[ci]
-            while heap and heap[0][_DEADLINE] <= t:
-                released.append(heapq.heappop(heap))
-        capacity = self.config.slot_capacity
-        for ci in self._release_order:
-            cls = self.classes[ci]
-            heap = self._heaps[ci]
-            while heap and (not capacity or len(released) < capacity):
-                if cls.deferrable and self._prefer_wait(
-                    t, heap[0][_DEADLINE], price, defer_cache
-                ):
-                    break
-                released.append(heapq.heappop(heap))
-        return released
-
-    def _prefer_wait(
-        self, t: int, deadline: int, price: float, cache: dict[int, bool]
-    ) -> bool:
-        """Whether a cheaper forecast slot exists within the wait window."""
-        window = min(deadline, t + self.config.lookahead) - t
-        if window <= 0:
-            return False
-        cached = cache.get(window)
-        if cached is None:
-            forecaster = self._forecaster
-            best = min(forecaster.predict(k) for k in range(1, window + 1))
-            cached = best < price * (1.0 - self.config.defer_margin)
-            cache[window] = cached
-        return cached
-
-    # ------------------------------------------------------------------
-    # deferral-off regime: one deadline-blind FIFO
-
-    def _route_fifo(
-        self, t: int, counts: np.ndarray | list[int]
-    ) -> tuple[list[tuple[int, int, int, int]], int]:
-        """Arrival-order release up to slot capacity; spill queues FIFO."""
-        arrivals: list[tuple[int, int, int, int]] = []
-        for ci, count in enumerate(counts):
-            deadline = clamp_deadline(t, self.classes[ci].deadline_slots, self.horizon)
-            for _ in range(int(count)):
-                arrivals.append((deadline, self._seq, t, ci))
-                self._seq += 1
-        pending = self._fifo
-        pending.extend(arrivals)
-        capacity = self.config.slot_capacity
-        budget = len(pending) if not capacity or t == self.horizon - 1 else capacity
-        released = [pending.popleft() for _ in range(min(budget, len(pending)))]
-        return released, self._enforce_fifo_capacity()
-
-    def _enforce_fifo_capacity(self) -> int:
-        """Apply the admission policy to the FIFO spill queue; returns drops."""
+    def _trim(self, queue: deque[list[int]]) -> int:
+        """Apply the admission policy to an over-capacity queue; returns drops."""
         capacity = self.config.queue_capacity
         policy = self.config.admission
         if not capacity or policy == "admit":
             return 0
-        dropped = 0
-        pending = self._fifo
-        while len(pending) > capacity:
-            if policy == "drop-oldest":
-                pending.popleft()
-            else:  # deadline-shed
-                slackest = max(range(len(pending)), key=lambda j: pending[j][:2])
-                del pending[slackest]
-            dropped += 1
+        excess = sum(cohort[_COUNT] for cohort in queue) - capacity
+        if excess <= 0:
+            return 0
+        dropped = excess
+        oldest = policy == "drop-oldest"
+        # deadline-shed evicts the slackest request first: the newest of the
+        # cohort with the largest (deadline, first_seq).
+        victims = queue if oldest else sorted(
+            queue, key=lambda cohort: (cohort[_DEADLINE], cohort[_FIRST]), reverse=True
+        )
+        for cohort in victims:
+            cut = min(excess, cohort[_COUNT])
+            cohort[_COUNT] -= cut
+            if oldest:
+                cohort[_FIRST] += cut
+            excess -= cut
+            if not excess:
+                break
+        live = [cohort for cohort in queue if cohort[_COUNT]]
+        queue.clear()
+        queue.extend(live)
         return dropped
+
+    def _prefer_wait(
+        self, t: int, price: float, cache: dict[int, bool], head: list[int]
+    ) -> bool:
+        """Whether a cheaper forecast slot exists within ``head``'s wait window."""
+        window = min(head[_DEADLINE], t + self.config.lookahead) - t
+        if window <= 0:
+            return False
+        if window not in cache:
+            best = min(self._forecaster.predict(k) for k in range(1, window + 1))
+            cache[window] = best < price * (1.0 - self.config.defer_margin)
+        return cache[window]
 
     # ------------------------------------------------------------------
     # snapshot support
 
     def state_dict(self) -> dict[str, object]:
-        """Picklable router state (queues, seq counter, forecaster)."""
+        """Picklable router state (seq counter, cohort queues, forecaster)."""
         return {
             "seq": self._seq,
-            "heaps": [list(heap) for heap in self._heaps],
-            "fifo": list(self._fifo),
+            "queues": [[list(cohort) for cohort in queue] for queue in self._queues],
             "forecaster": copy.deepcopy(self._forecaster),
         }
 
     def load_state(self, state: dict[str, object]) -> None:
         """Restore the state captured by :meth:`state_dict`."""
+        if "heaps" in state or "fifo" in state:
+            raise ValueError(
+                "router state is in the pre-cohort per-request format "
+                "('heaps'/'fifo' keys), which cannot be restored; restart "
+                "the run instead of resuming this snapshot"
+            )
         self._seq = int(state["seq"])
-        self._heaps = [list(heap) for heap in state["heaps"]]
-        for heap in self._heaps:
-            heapq.heapify(heap)
-        self._fifo = deque(state["fifo"])
+        self._queues = [
+            deque(list(cohort) for cohort in queue) for queue in state["queues"]
+        ]
         self._forecaster = copy.deepcopy(state["forecaster"])

@@ -199,6 +199,7 @@ class TestRunCase:
 
     def test_derive_ratios_from_synthetic_walls(self):
         results = (_result("simulate_scalar_i64", 0.4),
+                   _result("reference_loop", 0.4),
                    _result("simulate_vectorized_i64", 0.1),
                    _result("simulate_scalar_i10", 0.3),
                    _result("simulate_vectorized_i10", 0.2),
@@ -207,6 +208,18 @@ class TestRunCase:
         assert ratios["vectorized_speedup_i64"] == pytest.approx(4.0)
         assert ratios["vectorized_speedup_i10"] == pytest.approx(1.5)
         assert ratios["observed_gap_i64"] == pytest.approx(3.0)
+
+    def test_i64_gate_divides_the_fixed_reference_not_the_scalar_engine(self):
+        # A faster scalar engine must not move the gate.
+        results = (_result("simulate_scalar_i64", 0.9),
+                   _result("reference_loop", 0.3),
+                   _result("simulate_vectorized_i64", 0.1))
+        ratios = derive_ratios("simulator", results)
+        assert ratios["vectorized_speedup_i64"] == pytest.approx(3.0)
+        names = [case.name for case in suite_cases("simulator")]
+        assert names.index("reference_loop") + 1 == names.index(
+            "simulate_vectorized_i64"
+        )
 
     def test_simulator_suite_has_the_observed_case(self):
         names = [case.name for case in suite_cases("simulator")]

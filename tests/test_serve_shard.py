@@ -33,9 +33,11 @@ from repro.serve import (
     TransportDrop,
     WorkerKill,
     WorkerStall,
+    load_snapshot,
     realize_chaos,
     release_target,
     runtime_from_snapshot,
+    save_snapshot,
     serve_run,
     shard_edges,
 )
@@ -249,13 +251,19 @@ class TestShardedSnapshots:
     def test_in_process_snapshot_resumes_sharded(self, tmp_path):
         snap = tmp_path / "state.pkl"
         config = shard_config(
-            "A", 0, num_workers=2, snapshot_every=8, snapshot_path=str(snap)
+            "A", 0, num_workers=1, snapshot_every=8, snapshot_path=str(snap)
         )
-        # ServeRuntime ignores num_workers, so the first leg is in-process;
-        # the snapshot's config then routes the resume to the shard tier.
-        ServeRuntime(config).run(max_slots=10)
+        # One worker keeps the edges in the parent (a local shard).  The
+        # saved snapshot is then rewritten to ask for 2 workers, so the
+        # resume restores those in-process edges into worker processes.
+        first = ServeRuntime(config)
+        assert first.local
+        first.run(max_slots=10)
+        state = load_snapshot(snap)
+        state["config"]["num_workers"] = 2
+        save_snapshot(snap, state)
         resumed = runtime_from_snapshot(snap, **FAST)
-        assert isinstance(resumed, ShardRuntime)
+        assert not resumed.local
         result = resumed.run()
         assert result_digest(result) == GOLDEN_DIGESTS[("A", 0)]
 
