@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--config", metavar="CONFIG.json", default=None,
                        help="serve configuration file (scenario flags are "
                             "ignored when given; explicit serve flags still "
-                            "override)")
+                            "override); unknown keys are rejected")
     serve.add_argument("--selection", choices=SELECTION_NAMES, default=None)
     serve.add_argument("--trading", choices=TRADING_NAMES, default=None)
     _add_scenario_options(serve)
@@ -225,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mount the request-level ingress tier (SLA "
                             "classes, admission, deadline deferral); with "
                             "no argument uses the default config, else "
-                            "loads an IngressConfig JSON file")
+                            "loads an IngressConfig JSON file (unknown keys "
+                            "are rejected)")
 
     soak = sub.add_parser(
         "soak",
@@ -431,9 +432,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServeConfig,
         make_runtime,
         runtime_from_snapshot,
-        shard_edges,
     )
-    from repro.serve.shard import edges_in_processes
+    from repro.serve.shard import edges_in_processes, reachable_shards
 
     plan = None
     if args.faults is not None:
@@ -519,9 +519,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ):
             # One log per worker process beside the parent's; merge them back
             # with ``repro trace --replay out.jsonl out.jsonl.shard*``.
-            shards = shard_edges(config.scenario.num_edges, config.num_workers)
+            shards = reachable_shards(config, shard_kwargs.get("reconfig"))
             shard_kwargs["shard_trace_paths"] = [
-                f"{args.trace_output}.shard{w}" for w in range(len(shards))
+                f"{args.trace_output}.shard{w}" for w in range(shards)
             ]
         runtime = make_runtime(config, tracer=tracer, faults=plan, **shard_kwargs)
 

@@ -13,10 +13,8 @@ import numpy as np
 
 from repro.experiments.engine import SweepEngine
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_many, run_offline_many
-from repro.experiments.settings import PLOT_COMBOS, default_config, default_seeds
-from repro.metrics.summary import summarize_many
-from repro.sim.scenario import build_scenario
+from repro.experiments.runner import run_cost_sweep
+from repro.experiments.settings import PLOT_COMBOS, default_seeds
 
 __all__ = ["Fig04Result", "run", "format_result", "main"]
 
@@ -55,20 +53,7 @@ def run(
     edge_counts = (FAST_EDGE_COUNTS if fast else PAPER_EDGE_COUNTS) if edge_counts is None else edge_counts
     combos = PLOT_COMBOS if combos is None else combos
 
-    labels = ["Ours"] + [f"{s}-{t}" for s, t in combos] + ["Offline"]
-    costs: dict[str, list[float]] = {label: [] for label in labels}
-    for num_edges in edge_counts:
-        config = default_config(fast, num_edges=num_edges)
-        scenario = build_scenario(config)
-        weights = config.weights
-        results = run_many(scenario, "Ours", "Ours", seeds, label="Ours", engine=engine)
-        costs["Ours"].append(summarize_many(results, weights).total_cost)
-        for sel, trade in combos:
-            label = f"{sel}-{trade}"
-            results = run_many(scenario, sel, trade, seeds, label=label, engine=engine)
-            costs[label].append(summarize_many(results, weights).total_cost)
-        offline = run_offline_many(scenario, seeds, engine=engine)
-        costs["Offline"].append(summarize_many(offline, weights, label="Offline").total_cost)
+    costs = run_cost_sweep(fast, "num_edges", edge_counts, seeds, combos, engine)
     return Fig04Result(edge_counts=tuple(edge_counts), costs=costs)
 
 

@@ -14,10 +14,8 @@ import numpy as np
 
 from repro.experiments.engine import SweepEngine
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_many, run_offline_many
-from repro.experiments.settings import default_config, default_seeds
-from repro.metrics.summary import summarize_many
-from repro.sim.scenario import build_scenario
+from repro.experiments.runner import run_cost_sweep
+from repro.experiments.settings import default_seeds
 
 __all__ = ["Fig07Result", "run", "format_result", "main"]
 
@@ -54,20 +52,7 @@ def run(
     seeds = default_seeds(fast) if seeds is None else seeds
     caps = (FAST_CAPS if fast else PAPER_CAPS) if caps is None else caps
 
-    labels = ["Ours"] + [f"{s}-{t}" for s, t in SWEEP_COMBOS] + ["Offline"]
-    costs: dict[str, list[float]] = {label: [] for label in labels}
-    for cap in caps:
-        config = default_config(fast, carbon_cap_kg=cap)
-        scenario = build_scenario(config)
-        weights = config.weights
-        results = run_many(scenario, "Ours", "Ours", seeds, label="Ours", engine=engine)
-        costs["Ours"].append(summarize_many(results, weights).total_cost)
-        for sel, trade in SWEEP_COMBOS:
-            label = f"{sel}-{trade}"
-            results = run_many(scenario, sel, trade, seeds, label=label, engine=engine)
-            costs[label].append(summarize_many(results, weights).total_cost)
-        offline = run_offline_many(scenario, seeds, engine=engine)
-        costs["Offline"].append(summarize_many(offline, weights, label="Offline").total_cost)
+    costs = run_cost_sweep(fast, "carbon_cap_kg", caps, seeds, SWEEP_COMBOS, engine)
     return Fig07Result(caps=tuple(caps), costs=costs)
 
 

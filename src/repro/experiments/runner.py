@@ -4,8 +4,9 @@ Policy construction is delegated to the :mod:`repro.policies` registry
 (``make_selection_policies`` / ``make_trading_policy`` are re-exported here
 for backward compatibility, as are the ``SELECTION_NAMES`` /
 ``TRADING_NAMES`` views).  What remains in this module is run orchestration:
-one combination (:func:`run_combo`), seed sweeps (:func:`run_many`), and the
-paper's two-pass offline reference (:func:`run_offline`).
+one combination (:func:`run_combo`), seed sweeps (:func:`run_many`), the
+paper's two-pass offline reference (:func:`run_offline`), and the
+one-knob cost sweep behind Figs. 4-7 (:func:`run_cost_sweep`).
 
 Seed sweeps route through :class:`~repro.experiments.engine.SweepEngine`:
 pass one explicitly, or configure the process-wide default (see
@@ -16,9 +17,12 @@ figure experiment at once.  The default engine is serial and uncached, so
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
+from repro.experiments.settings import default_config
 from repro.faults.plan import FaultPlan
+from repro.metrics.summary import summarize_many
 from repro.obs.tracer import Tracer
 from repro.offline import (
     FixedSelection,
@@ -34,7 +38,7 @@ from repro.policies import (
     make_trading_policy,
 )
 from repro.sim.results import SimulationResult
-from repro.sim.scenario import Scenario
+from repro.sim.scenario import Scenario, build_scenario
 from repro.sim.simulator import Simulator
 from repro.spec import RunSpec
 
@@ -47,6 +51,7 @@ __all__ = [
     "make_selection_policies",
     "make_trading_policy",
     "run_combo",
+    "run_cost_sweep",
     "run_many",
     "run_offline",
     "run_offline_many",
@@ -160,3 +165,32 @@ def run_offline_many(
     if engine is None:
         engine = get_default_engine()
     return engine.run_offline_many(scenario, seeds)
+
+
+def run_cost_sweep(
+    fast: bool,
+    knob: str,
+    values: Sequence[float],
+    seeds: list[int],
+    combos: Sequence[tuple[str, str]],
+    engine: "SweepEngine | None" = None,
+) -> dict[str, list[float]]:
+    """Mean total cost of Ours, each ``(selection, trading)`` combo
+    (``"<sel>-<trade>"``) and Offline over ``seeds``, at each value of one
+    ``default_config`` knob."""
+    runs = [("Ours", "Ours", "Ours")] + [(s, t, f"{s}-{t}") for s, t in combos]
+    costs: dict[str, list[float]] = {label: [] for *_, label in runs}
+    costs["Offline"] = []
+    for value in values:
+        config = default_config(fast, **{knob: value})
+        scenario = build_scenario(config)
+        for selection, trading, label in runs:
+            results = run_many(
+                scenario, selection, trading, seeds, label=label, engine=engine
+            )
+            costs[label].append(summarize_many(results, config.weights).total_cost)
+        offline = run_offline_many(scenario, seeds, engine=engine)
+        costs["Offline"].append(
+            summarize_many(offline, config.weights, label="Offline").total_cost
+        )
+    return costs

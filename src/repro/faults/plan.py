@@ -3,8 +3,9 @@
 A *fault plan* declares, ahead of a run, which infrastructure failures the
 simulated system must operate through.  Each spec is a frozen dataclass with
 a stable ``kind`` tag, so plans round-trip losslessly through JSON
-(:meth:`FaultPlan.to_dict` / :meth:`FaultPlan.from_dict`) and can be passed
-on the command line (``repro experiment --faults PLAN.json``).
+(:meth:`FaultPlan.to_dict` / :meth:`FaultPlan.from_dict`, the shared
+:class:`~repro.utils.records.Plan` codec) and can be passed on the command
+line (``repro experiment --faults PLAN.json``).
 
 The taxonomy mirrors the failure modes of a carbon-aware edge deployment:
 
@@ -28,11 +29,11 @@ an empty plan leaves every existing stream untouched.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, Union
+from typing import ClassVar
+
+from repro.utils.records import Plan, Record, TagRegistry
 
 __all__ = [
     "DownloadFailure",
@@ -49,15 +50,12 @@ __all__ = [
 ]
 
 #: Registry of fault kind tag -> spec class, populated by ``register_fault``.
-FAULT_KINDS: dict[str, type["FaultSpec"]] = {}
+FAULT_KINDS = TagRegistry("fault")
 
 
 def register_fault(cls: type["FaultSpec"]) -> type["FaultSpec"]:
     """Class decorator adding a fault spec to :data:`FAULT_KINDS` (tag-unique)."""
-    if cls.kind in FAULT_KINDS:
-        raise ValueError(f"duplicate fault kind tag {cls.kind!r}")
-    FAULT_KINDS[cls.kind] = cls
-    return cls
+    return FAULT_KINDS.register(cls)
 
 
 def _check_window(start: int, end: int | None) -> None:
@@ -73,15 +71,11 @@ def _check_probability(probability: float) -> None:
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Record):
     """Base fault spec: one declared failure mode of the simulated system."""
 
     #: Stable wire tag written to the ``"kind"`` key of the JSON form.
     kind: ClassVar[str] = "fault"
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-ready mapping: the fields plus the ``"kind"`` tag."""
-        return {"kind": self.kind, **dataclasses.asdict(self)}
 
 
 @register_fault
@@ -234,87 +228,28 @@ class GilbertElliottLoss(FaultSpec):
         _check_window(self.start, self.end)
 
 
-AnyFault = Union[
-    EdgeOutage,
-    FeedbackLoss,
-    GilbertElliottLoss,
-    DownloadFailure,
-    MarketOutage,
-    TradeRejection,
-]
-
-
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Plan):
     """An ordered collection of fault specs applied to one run.
 
     The spec order is part of the determinism contract: the injector
     realizes each probabilistic spec from its own named RNG stream indexed
     by position, so two identical plans realize identical fault patterns.
     An empty plan is the default and leaves runs bit-identical to unfaulted
-    ones.
+    ones.  JSON form: ``{"faults": [...]}``.
     """
 
     specs: tuple[FaultSpec, ...] = ()
 
-    def __post_init__(self) -> None:
-        for spec in self.specs:
-            if not isinstance(spec, FaultSpec):
-                raise TypeError(
-                    f"fault specs must be FaultSpec instances, got "
-                    f"{type(spec).__name__}"
-                )
-        object.__setattr__(self, "specs", tuple(self.specs))
-
-    @property
-    def is_empty(self) -> bool:
-        """Whether the plan declares no faults at all."""
-        return not self.specs
+    key: ClassVar[str] = "faults"
+    registry: ClassVar[TagRegistry] = FAULT_KINDS
+    record_type: ClassVar[type] = FaultSpec
 
     def of_kind(self, kind: str) -> tuple[FaultSpec, ...]:
         """All specs whose kind tag equals ``kind`` (original order)."""
         return tuple(spec for spec in self.specs if spec.kind == kind)
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready mapping (``{"faults": [...]}``)."""
-        return {"faults": [spec.as_dict() for spec in self.specs]}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """The plan as a JSON document."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultPlan":
-        """Reconstruct a plan from its :meth:`to_dict` form."""
-        raw = payload.get("faults")
-        if not isinstance(raw, list):
-            raise ValueError('fault plan JSON must carry a "faults" list')
-        specs: list[FaultSpec] = []
-        for entry in raw:
-            if not isinstance(entry, dict):
-                raise ValueError(f"fault entry must be an object, got {entry!r}")
-            fields = dict(entry)
-            tag = fields.pop("kind", None)
-            if not isinstance(tag, str) or tag not in FAULT_KINDS:
-                raise ValueError(
-                    f"unknown fault kind {tag!r}; expected one of "
-                    f"{sorted(FAULT_KINDS)}"
-                )
-            try:
-                specs.append(FAULT_KINDS[tag](**fields))
-            except TypeError as exc:
-                raise ValueError(f"bad {tag} spec {entry!r}: {exc}") from exc
-        return cls(specs=tuple(specs))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Parse a plan from a JSON string."""
-        return cls.from_dict(json.loads(text))
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
 
 def load_plan(path: str | Path) -> FaultPlan:
     """Load a fault plan from a JSON file."""
-    return FaultPlan.from_json(Path(path).read_text(encoding="utf-8"))
+    return FaultPlan.from_file(path)

@@ -25,6 +25,10 @@ class PriceForecaster:
         """Forecast the price ``steps`` slots ahead of the last observation."""
         raise NotImplementedError
 
+    def path(self, steps: int) -> list[float]:
+        """``[predict(1), ..., predict(steps)]``, bit-identical to the calls."""
+        return [self.predict(k) for k in range(1, steps + 1)]
+
     @property
     def observations(self) -> int:
         """Number of prices observed so far."""
@@ -98,15 +102,22 @@ class AR1Forecaster(PriceForecaster):
         self._count += 1
 
     def predict(self, steps: int = 1) -> float:
+        return self.path(steps)[-1]
+
+    def path(self, steps: int) -> list[float]:
+        """One pass of the recurrence gives every horizon up to ``steps``."""
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps}")
         if self._last_price is None:
             raise RuntimeError("cannot predict before any observation")
+        a, b = self._theta
         price = self._last_price
+        out = []
         for _ in range(steps):
-            price = float(self._theta[0] * price + self._theta[1])
-        # Prices are positive; keep the forecast physically sensible.
-        return max(price, 1e-9)
+            price = float(a * price + b)
+            # Prices are positive; keep the forecast physically sensible.
+            out.append(max(price, 1e-9))
+        return out
 
     @property
     def coefficients(self) -> tuple[float, float]:

@@ -1,8 +1,9 @@
 """Ingress tier configuration: the SLA mix and router policy knobs.
 
-Mirrors :class:`repro.serve.config.ServeConfig`'s contract: a frozen
-dataclass with eager validation, a strict ``from_dict`` (unknown keys are
-errors), and a lossless JSON round-trip — an :class:`IngressConfig` is
+Same contract as :class:`repro.serve.config.ServeConfig`: a frozen
+dataclass with eager validation, a strict ``from_dict`` through
+:func:`repro.utils.records.decode_fields` (unknown keys are errors), and a
+lossless JSON round-trip — an :class:`IngressConfig` is
 embedded verbatim (as its dict form) inside ``ServeConfig.ingress`` so
 serve snapshots and soak reports carry the full ingress contract.
 """
@@ -10,7 +11,6 @@ serve snapshots and soak reports carry the full ingress contract.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +20,7 @@ from repro.forecast.price_models import (
     PriceForecaster,
 )
 from repro.ingress.request import SlaClass
+from repro.utils.records import decode_fields, load_json
 
 __all__ = ["ADMISSION_POLICIES", "DEFAULT_CLASSES", "FORECASTERS", "IngressConfig"]
 
@@ -94,9 +95,7 @@ class IngressConfig:
     def __post_init__(self) -> None:
         if not self.classes:
             raise ValueError("ingress needs at least one SLA class")
-        classes = tuple(
-            SlaClass(**cls) if isinstance(cls, dict) else cls for cls in self.classes
-        )
+        classes = tuple(self.classes)
         object.__setattr__(self, "classes", classes)
         names = [cls.name for cls in classes]
         if len(set(names)) != len(names):
@@ -146,20 +145,16 @@ class IngressConfig:
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "IngressConfig":
         """Strict inverse of :meth:`to_dict`: unknown keys are errors."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown IngressConfig keys: {sorted(unknown)}")
-        data = dict(payload)
-        if "classes" in data:
-            data["classes"] = tuple(
-                SlaClass(**entry) if isinstance(entry, dict) else entry
-                for entry in data["classes"]
-            )
-        return cls(**data)
+        return decode_fields(
+            cls,
+            payload,
+            "IngressConfig",
+            classes=lambda raw: tuple(
+                decode_fields(SlaClass, entry, "SLA class") for entry in raw
+            ),
+        )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "IngressConfig":
         """Load a config from a JSON file."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        return cls.from_dict(load_json(path))

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 from collections import deque
 from collections.abc import Callable
 
@@ -126,7 +127,7 @@ class IngressRouter:
                     self._queues[ci], released, count, 0,
                     lambda head: head[_DEADLINE] > t,
                 )
-            wait = functools.partial(self._prefer_wait, t, price, {})
+            wait = functools.partial(self._prefer_wait, t, price, [])
             for ci in self._release_order:
                 count = self._release(
                     self._queues[ci], released, count, self.config.slot_capacity,
@@ -220,16 +221,18 @@ class IngressRouter:
         return dropped
 
     def _prefer_wait(
-        self, t: int, price: float, cache: dict[int, bool], head: list[int]
+        self, t: int, price: float, best: list[float], head: list[int]
     ) -> bool:
-        """Whether a cheaper forecast slot exists within ``head``'s wait window."""
+        """Whether a cheaper forecast slot exists within ``head``'s wait window;
+        ``best`` caches the step's prefix minima of the look-ahead forecasts."""
         window = min(head[_DEADLINE], t + self.config.lookahead) - t
         if window <= 0:
             return False
-        if window not in cache:
-            best = min(self._forecaster.predict(k) for k in range(1, window + 1))
-            cache[window] = best < price * (1.0 - self.config.defer_margin)
-        return cache[window]
+        if not best:
+            best.extend(itertools.accumulate(
+                self._forecaster.path(self.config.lookahead), min
+            ))
+        return best[window - 1] < price * (1.0 - self.config.defer_margin)
 
     # ------------------------------------------------------------------
     # snapshot support

@@ -7,14 +7,17 @@ emissions.  Events are plain data — JSON-serializable via :meth:`Event.as_dict
 and reconstructible via :func:`event_from_dict` — so a JSONL trace of a run
 round-trips losslessly.
 
-The module is dependency-free (stdlib only): producers convert numpy
-scalars to builtin ``int``/``float`` before constructing events.
+Their JSON codec, :mod:`repro.utils.records`, is stdlib only, so
+producers convert numpy scalars to builtin ``int``/``float`` before
+constructing events.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import ClassVar
+
+from repro.utils.records import Record, TagRegistry
 
 __all__ = [
     "ArrivalEvent",
@@ -45,29 +48,23 @@ __all__ = [
 ]
 
 #: Registry of event type tag -> event class, populated by ``register_event``.
-EVENT_TYPES: dict[str, type["Event"]] = {}
+EVENT_TYPES = TagRegistry("event", tag_key="type")
 
 
 def register_event(cls: type["Event"]) -> type["Event"]:
     """Class decorator adding an event class to :data:`EVENT_TYPES` (tag-unique)."""
-    if cls.type in EVENT_TYPES:
-        raise ValueError(f"duplicate event type tag {cls.type!r}")
-    EVENT_TYPES[cls.type] = cls
-    return cls
+    return EVENT_TYPES.register(cls)
 
 
 @dataclass(frozen=True)
-class Event:
+class Event(Record):
     """Base event: one structured record anchored at time slot ``t``."""
 
     t: int
 
     #: Stable wire tag written to the ``"type"`` key of the JSON form.
     type: ClassVar[str] = "event"
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-ready mapping: the fields plus the ``"type"`` tag."""
-        return {"type": self.type, **asdict(self)}
+    tag_key: ClassVar[str] = "type"
 
 
 @register_event
@@ -412,10 +409,4 @@ class DeadlineMissEvent(Event):
 
 def event_from_dict(payload: dict[str, object]) -> Event:
     """Reconstruct an event from its :meth:`Event.as_dict` form."""
-    fields = dict(payload)
-    tag = fields.pop("type", None)
-    if not isinstance(tag, str) or tag not in EVENT_TYPES:
-        raise ValueError(
-            f"unknown event type {tag!r}; expected one of {sorted(EVENT_TYPES)}"
-        )
-    return EVENT_TYPES[tag](**fields)
+    return EVENT_TYPES.decode(payload)

@@ -246,14 +246,13 @@ class EdgeFilterSink:
 def iter_events(path: str | Path) -> Iterator[Event]:
     """Stream a JSONL event log lazily, one typed event at a time.
 
-    Unlike :func:`read_events` this never materializes the log: memory use
-    is O(1) in the trace size, so multi-GB serve logs replay fine.  Blank
-    lines are skipped.  A *final* line that fails to parse and has no
-    trailing newline is treated as the torn write of a crashed producer and
-    silently ends the stream; a malformed line anywhere else (or a complete
-    final line) raises ``ValueError`` with the line number — corruption in
-    the middle of a log must surface, only an honest truncation is
-    forgiven.
+    Memory use is O(1) in the trace size, so multi-GB serve logs replay
+    fine.  Blank lines are skipped.  A *final* line that fails to parse and
+    has no trailing newline is treated as the torn write of a crashed
+    producer and silently ends the stream; a malformed line anywhere else
+    (or a complete final line), or a parsed line that is not a valid event,
+    raises ``ValueError`` prefixed with ``path:line`` — corruption in the
+    middle of a log must surface, only an honest truncation is forgiven.
     """
     with Path(path).open("r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -261,22 +260,18 @@ def iter_events(path: str | Path) -> Iterator[Event]:
             if not stripped:
                 continue
             try:
-                payload = json.loads(stripped)
+                event = event_from_dict(json.loads(stripped))
             except json.JSONDecodeError as exc:
                 if not raw.endswith("\n"):
                     return
                 raise ValueError(
                     f"{path}:{lineno}: malformed JSONL event: {exc}"
                 ) from exc
-            yield event_from_dict(payload)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            yield event
 
 
 def read_events(path: str | Path) -> list[Event]:
-    """Load a JSONL event log back into typed events (blank lines skipped)."""
-    events: list[Event] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(event_from_dict(json.loads(line)))
-    return events
+    """Load a whole JSONL event log into typed events (see :func:`iter_events`)."""
+    return list(iter_events(path))

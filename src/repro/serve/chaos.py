@@ -1,10 +1,10 @@
 """Deterministic chaos plans for the sharded edge tier.
 
 A *chaos plan* declares, ahead of a soak or serve run, which
-infrastructure failures the shard supervisor must heal through.  It
-mirrors :mod:`repro.faults.plan` — frozen spec dataclasses with stable
-``kind`` tags in a JSON-round-trippable container — but targets the
-*process* layer rather than the simulated system:
+infrastructure failures the shard supervisor must heal through.  Like a
+fault plan it is a :class:`~repro.utils.records.Plan` of frozen spec
+dataclasses with stable ``kind`` tags (JSON form ``{"chaos": [...]}``),
+but it targets the *process* layer rather than the simulated system:
 
 * :class:`WorkerKill` — worker ``worker`` dies abruptly (``os._exit``,
   SIGKILL-like: its current slot goes unreported) when it batches slot
@@ -31,12 +31,11 @@ kill consumed before a restart does not re-fire during replay.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
+from repro.utils.records import Plan, Record, TagRegistry
 from repro.utils.rng import RngFactory
 
 __all__ = [
@@ -54,27 +53,20 @@ __all__ = [
 ]
 
 #: Registry of chaos kind tag -> spec class, populated by ``register_chaos``.
-CHAOS_KINDS: dict[str, type["ChaosSpec"]] = {}
+CHAOS_KINDS = TagRegistry("chaos")
 
 
 def register_chaos(cls: type["ChaosSpec"]) -> type["ChaosSpec"]:
     """Class decorator adding a chaos spec to :data:`CHAOS_KINDS`."""
-    if cls.kind in CHAOS_KINDS:
-        raise ValueError(f"duplicate chaos kind tag {cls.kind!r}")
-    CHAOS_KINDS[cls.kind] = cls
-    return cls
+    return CHAOS_KINDS.register(cls)
 
 
 @dataclass(frozen=True)
-class ChaosSpec:
+class ChaosSpec(Record):
     """Base chaos spec: one declared process-layer failure."""
 
     #: Stable wire tag written to the ``"kind"`` key of the JSON form.
     kind: ClassVar[str] = "chaos"
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-ready mapping: the fields plus the ``"kind"`` tag."""
-        return {"kind": self.kind, **dataclasses.asdict(self)}
 
 
 @register_chaos
@@ -169,61 +161,19 @@ class RandomKills(ChaosSpec):
 
 
 @dataclass(frozen=True)
-class ChaosPlan:
+class ChaosPlan(Plan):
     """An immutable collection of chaos specs for one run."""
 
     specs: tuple[ChaosSpec, ...] = ()
 
-    def __post_init__(self) -> None:
-        for spec in self.specs:
-            if not isinstance(spec, ChaosSpec):
-                raise TypeError(
-                    f"chaos plan entries must be ChaosSpec, got {spec!r}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.specs
-
-    def to_dict(self) -> dict[str, object]:
-        return {"chaos": [spec.as_dict() for spec in self.specs]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ChaosPlan":
-        entries = payload.get("chaos", [])
-        specs = []
-        for entry in entries:
-            fields = dict(entry)
-            kind = fields.pop("kind", None)
-            spec_cls = CHAOS_KINDS.get(kind)
-            if spec_cls is None:
-                raise ValueError(
-                    f"unknown chaos kind {kind!r}; "
-                    f"expected one of {sorted(CHAOS_KINDS)}"
-                )
-            try:
-                specs.append(spec_cls(**fields))
-            except TypeError as exc:
-                raise ValueError(f"bad chaos spec {entry!r}: {exc}") from exc
-        return cls(specs=tuple(specs))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChaosPlan":
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError("chaos plan JSON must hold an object")
-        return cls.from_dict(payload)
+    key: ClassVar[str] = "chaos"
+    registry: ClassVar[TagRegistry] = CHAOS_KINDS
+    record_type: ClassVar[type] = ChaosSpec
 
 
 def load_chaos_plan(path: str | Path) -> ChaosPlan:
     """Load a :class:`ChaosPlan` from a JSON file."""
-    return ChaosPlan.from_json(Path(path).read_text(encoding="utf-8"))
+    return ChaosPlan.from_file(path)
 
 
 @dataclass(frozen=True)

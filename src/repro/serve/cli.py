@@ -96,7 +96,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "mount the request-level ingress tier; with no argument uses "
             "the default SLA classes and deferral policy, else loads an "
-            "IngressConfig JSON file"
+            "IngressConfig JSON file (unknown keys are rejected)"
         ),
     )
     parser.add_argument(

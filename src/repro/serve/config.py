@@ -17,11 +17,11 @@ determinism contract:
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.sim.config import CostWeights, ScenarioConfig
+from repro.sim.config import ScenarioConfig
+from repro.utils.records import decode_fields, load_json
 
 __all__ = [
     "ADAPTER_NAMES",
@@ -45,20 +45,6 @@ BACKPRESSURE_MODES = ("block", "shed")
 #: replaying the missed slots as offline outcomes, and falls back to
 #: ``"degrade"`` once the ``max_restarts`` budget is spent.
 WORKER_DEATH_POLICIES = ("fail", "degrade", "restart")
-
-
-def _scenario_from_dict(payload: dict) -> ScenarioConfig:
-    fields = dict(payload)
-    weights = fields.get("weights")
-    if isinstance(weights, dict):
-        try:
-            fields["weights"] = CostWeights(**weights)
-        except TypeError as exc:
-            raise ValueError(f"bad cost weights {weights!r}: {exc}") from exc
-    try:
-        return ScenarioConfig(**fields)
-    except TypeError as exc:
-        raise ValueError(f"bad scenario config {payload!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -224,32 +210,19 @@ class ServeConfig:
 
     def to_dict(self) -> dict[str, object]:
         """JSON-ready mapping; inverse of :meth:`from_dict`."""
-        payload = dataclasses.asdict(self)
-        return payload
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ServeConfig":
         """Build a config from a mapping, rejecting unknown keys."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(
-                f"unknown serve config keys {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        fields_in = dict(payload)
-        scenario = fields_in.get("scenario")
-        if isinstance(scenario, dict):
-            fields_in["scenario"] = _scenario_from_dict(scenario)
-        return cls(**fields_in)
+        return decode_fields(
+            cls, payload, "serve config", scenario=ScenarioConfig.from_dict
+        )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ServeConfig":
         """Load a config from a JSON file."""
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError(f"serve config {path} must hold a JSON object")
-        return cls.from_dict(payload)
+        return cls.from_dict(load_json(path))
 
     def with_overrides(self, **overrides: object) -> "ServeConfig":
         """A copy with the given fields replaced (validation re-runs)."""

@@ -4,9 +4,9 @@ A :class:`ReconfigPlan` declares fleet-shape changes to apply at slot
 *barriers* during a sharded run: :class:`AddEdge` / :class:`RemoveEdge`
 toggle membership of an edge in the *active set* (over the scenario's
 fixed edge capacity), and :class:`Rebalance` changes the worker count.
-Plans are JSON round-trippable and CLI-loadable
-(``repro serve --reconfig PLAN.json``), mirroring
-:class:`~repro.faults.plan.FaultPlan`.
+Plans share the :class:`~repro.utils.records.Plan` JSON codec with fault
+and chaos plans (JSON form ``{"reconfig": [...]}``) and are CLI-loadable
+(``repro serve --reconfig PLAN.json``).
 
 Determinism contract
 --------------------
@@ -28,11 +28,11 @@ plan.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
+
+from repro.utils.records import Plan, Record, TagRegistry
 
 __all__ = [
     "AddEdge",
@@ -47,19 +47,16 @@ __all__ = [
 ]
 
 #: Registry of op kind tag -> op class, populated by ``register_reconfig``.
-RECONFIG_OPS: dict[str, type["ReconfigOp"]] = {}
+RECONFIG_OPS = TagRegistry("reconfig op")
 
 
 def register_reconfig(cls: type["ReconfigOp"]) -> type["ReconfigOp"]:
     """Class decorator adding a reconfig op to :data:`RECONFIG_OPS`."""
-    if cls.kind in RECONFIG_OPS:
-        raise ValueError(f"duplicate reconfig op tag {cls.kind!r}")
-    RECONFIG_OPS[cls.kind] = cls
-    return cls
+    return RECONFIG_OPS.register(cls)
 
 
 @dataclass(frozen=True)
-class ReconfigOp:
+class ReconfigOp(Record):
     """Base reconfiguration op, applied at slot barrier ``at``."""
 
     at: int
@@ -70,10 +67,6 @@ class ReconfigOp:
     def __post_init__(self) -> None:
         if self.at < 0:
             raise ValueError(f"at must be non-negative, got {self.at}")
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-ready mapping: the fields plus the ``"kind"`` tag."""
-        return {"kind": self.kind, **dataclasses.asdict(self)}
 
 
 @register_reconfig
@@ -134,27 +127,20 @@ class Rebalance(ReconfigOp):
 
 
 @dataclass(frozen=True)
-class ReconfigPlan:
+class ReconfigPlan(Plan):
     """An immutable, barrier-ordered collection of reconfiguration ops."""
 
     ops: tuple[ReconfigOp, ...] = ()
 
+    key: ClassVar[str] = "reconfig"
+    registry: ClassVar[TagRegistry] = RECONFIG_OPS
+    record_type: ClassVar[type] = ReconfigOp
+
     def __post_init__(self) -> None:
-        for op in self.ops:
-            if not isinstance(op, ReconfigOp):
-                raise TypeError(
-                    f"reconfig plan entries must be ReconfigOp, got {op!r}"
-                )
+        super().__post_init__()
         object.__setattr__(
             self, "ops", tuple(sorted(self.ops, key=lambda op: op.at))
         )
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.ops
 
     def barriers(self) -> tuple[int, ...]:
         """Distinct barrier slots, ascending."""
@@ -163,38 +149,6 @@ class ReconfigPlan:
     def ops_at(self, slot: int) -> tuple[ReconfigOp, ...]:
         """Every op scheduled at barrier ``slot``, in plan order."""
         return tuple(op for op in self.ops if op.at == slot)
-
-    def to_dict(self) -> dict[str, object]:
-        return {"reconfig": [op.as_dict() for op in self.ops]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ReconfigPlan":
-        entries = payload.get("reconfig", [])
-        ops = []
-        for entry in entries:
-            fields = dict(entry)
-            kind = fields.pop("kind", None)
-            op_cls = RECONFIG_OPS.get(kind)
-            if op_cls is None:
-                raise ValueError(
-                    f"unknown reconfig op {kind!r}; "
-                    f"expected one of {sorted(RECONFIG_OPS)}"
-                )
-            try:
-                ops.append(op_cls(**fields))
-            except TypeError as exc:
-                raise ValueError(f"bad reconfig op {entry!r}: {exc}") from exc
-        return cls(ops=tuple(ops))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReconfigPlan":
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError("reconfig plan JSON must hold an object")
-        return cls.from_dict(payload)
 
     def fleet_at(
         self, *, capacity: int, num_workers: int, upto_slot: int
@@ -246,4 +200,4 @@ def apply_op(
 
 def load_reconfig_plan(path: str | Path) -> ReconfigPlan:
     """Load a :class:`ReconfigPlan` from a JSON file."""
-    return ReconfigPlan.from_json(Path(path).read_text(encoding="utf-8"))
+    return ReconfigPlan.from_file(path)

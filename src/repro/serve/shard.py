@@ -117,6 +117,7 @@ __all__ = [
     "ShardRuntime",
     "edges_in_processes",
     "make_runtime",
+    "reachable_shards",
     "runtime_from_snapshot",
     "serve_run",
     "shard_edges",
@@ -514,6 +515,21 @@ def edges_in_processes(
     return config.num_workers > 1 or chaos is not None or reconfig is not None
 
 
+def reachable_shards(
+    config: ServeConfig, reconfig: ReconfigPlan | None = None
+) -> int:
+    """How many worker indices a run's fleet shapes reach: the starting
+    fleet's shard count, or the largest one a ``reconfig`` plan makes."""
+    capacity, workers = config.scenario.num_edges, config.num_workers
+    if reconfig is None:
+        return len(shard_edges(capacity, workers))
+    shapes = (
+        reconfig.fleet_at(capacity=capacity, num_workers=workers, upto_slot=slot)
+        for slot in (0, *reconfig.barriers())
+    )
+    return max(len(shard_edges(len(active), n)) for active, n in shapes)
+
+
 class ServeRuntime:
     """One serve run: the parent of the fleet's edge shards.
 
@@ -627,10 +643,11 @@ class ServeRuntime:
                     "run without a chaos or reconfig plan traces through "
                     "the parent tracer"
                 )
-            if len(shard_trace_paths) != len(self.shards):
+            shards = reachable_shards(config, self._reconfig)
+            if len(shard_trace_paths) != shards:
                 raise ValueError(
-                    f"{len(shard_trace_paths)} shard trace paths for "
-                    f"{len(self.shards)} shards"
+                    f"{len(shard_trace_paths)} shard trace paths for the "
+                    f"{shards} shards this run can spawn"
                 )
         self._shard_trace_paths = (
             [str(p) for p in shard_trace_paths] if shard_trace_paths else None
@@ -1300,7 +1317,7 @@ class ServeRuntime:
         :class:`~repro.obs.sinks.JsonlSink` truncates on open, so a
         respawned incarnation must not reuse its predecessor's file.
         """
-        if self._shard_trace_paths is None or w >= len(self._shard_trace_paths):
+        if self._shard_trace_paths is None:
             return None
         count = self._spawn_counts.get(w, 0)
         self._spawn_counts[w] = count + 1

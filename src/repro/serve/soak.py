@@ -47,7 +47,7 @@ from repro.bench.report import BenchReport, BenchResult, machine_fingerprint
 from repro.obs.tracer import Tracer
 from repro.serve.chaos import ChaosPlan
 from repro.serve.config import ServeConfig
-from repro.serve.load import SHAPE_NAMES
+from repro.serve.load import SHAPE_NAMES, make_load_grid
 from repro.serve.reconfig import ReconfigPlan
 from repro.serve.shard import ServeRuntime
 from repro.sim.config import ScenarioConfig
@@ -352,8 +352,11 @@ def run_soak(
     ``on_worker_death`` overrides it) so the soak exercises the
     self-healing path, and the report gains recovery-latency quantiles
     plus the healing tallies.  ``accounting_ok`` stays the exact equation;
-    the ``events_in == total_events`` leg is only waived when a shard
-    genuinely degraded (its unserved slots legitimately never arrived).
+    the volume leg — ``events_in`` equals the load grid's total over the
+    cells whose edge is active in their slot, since a ``reconfig`` plan's
+    removed edge folds offline with zero arrivals — is only waived when a
+    shard genuinely degraded (its unserved slots legitimately never
+    arrived).
 
     An ``ingress`` config mounts the request-level tier above the shape
     adapter: the report gains the ``ingress`` accounting summary, the
@@ -419,6 +422,22 @@ def run_soak(
     restarts = tracer.counter("serve/restarts").value
     reconfigs = tracer.counter("serve/reconfigs").value
     degraded = sum(1 for s in runtime.health()["shards"] if s["failed"])
+    expected_in = total_events
+    if reconfig is not None and not reconfig.is_empty:
+        grid = make_load_grid(
+            shape,
+            horizon=horizon,
+            num_edges=num_edges,
+            total_events=total_events,
+            seed=seed,
+        )
+        expected_in = sum(
+            int(grid[t, edge])
+            for t in range(horizon)
+            for edge in reconfig.fleet_at(
+                capacity=num_edges, num_workers=num_workers, upto_slot=t
+            )[0]
+        )
     ingress_summary = None
     ingress_ok = True
     volume_in = events_in
@@ -447,7 +466,7 @@ def run_soak(
         events_dropped_offline=events_dropped,
         accounting_ok=(
             events_in == events_served + events_shed + events_dropped
-            and (volume_in == total_events or degraded > 0)
+            and (volume_in == expected_in or degraded > 0)
             and ingress_ok
         ),
         throughput_eps=(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.utils.records import decode_fields
 from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = ["CostWeights", "ScenarioConfig"]
@@ -86,3 +87,13 @@ class ScenarioConfig:
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
         """Copy with some fields replaced (sweep helper)."""
         return replace(self, **kwargs)
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "ScenarioConfig":
+        """Strict inverse of ``dataclasses.asdict``: unknown keys are errors."""
+        return decode_fields(
+            cls,
+            payload,
+            "scenario config",
+            weights=lambda raw: decode_fields(CostWeights, raw, "cost weights"),
+        )

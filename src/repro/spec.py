@@ -23,7 +23,8 @@ import json
 from dataclasses import dataclass, field
 
 from repro.faults.plan import FaultPlan
-from repro.sim.config import CostWeights, ScenarioConfig
+from repro.sim.config import ScenarioConfig
+from repro.utils.records import decode_fields
 
 __all__ = ["RunSpec"]
 
@@ -151,41 +152,20 @@ class RunSpec:
         """Reconstruct a spec from its :meth:`to_dict` form."""
         if not isinstance(payload, dict):
             raise ValueError(f"run spec must be an object, got {payload!r}")
-        version = payload.get("format_version", RUNSPEC_FORMAT_VERSION)
+        fields = dict(payload)
+        version = fields.pop("format_version", RUNSPEC_FORMAT_VERSION)
         if version != RUNSPEC_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported run-spec format_version {version!r} "
                 f"(this build reads {RUNSPEC_FORMAT_VERSION})"
             )
-        scenario_raw = payload.get("scenario")
-        scenario = None
-        if scenario_raw is not None:
-            if not isinstance(scenario_raw, dict):
-                raise ValueError("scenario must be an object or null")
-            fields = dict(scenario_raw)
-            weights_raw = fields.pop("weights", None)
-            if weights_raw is not None:
-                fields["weights"] = CostWeights(**weights_raw)
-            scenario = ScenarioConfig(**fields)
-        faults_raw = payload.get("faults")
-        faults = (
-            FaultPlan() if faults_raw is None else FaultPlan.from_dict(faults_raw)
+        return decode_fields(
+            cls,
+            fields,
+            "run-spec",
+            scenario=ScenarioConfig.from_dict,
+            faults=FaultPlan.from_dict,
         )
-        known = {
-            "selection",
-            "trading",
-            "seed",
-            "label",
-            "label_delay",
-            "live_inference",
-            "trace_output",
-            "trace_edge",
-        }
-        kwargs = {key: payload[key] for key in known if key in payload}
-        unknown = set(payload) - known - {"format_version", "scenario", "faults"}
-        if unknown:
-            raise ValueError(f"unknown run-spec fields: {sorted(unknown)}")
-        return cls(scenario=scenario, faults=faults, **kwargs)
 
     @classmethod
     def from_json(cls, text: str) -> "RunSpec":

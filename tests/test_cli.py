@@ -163,6 +163,29 @@ class TestServeCommand:
         arrivals = [e for e in read_events(shard_log) if e.type == "arrival"]
         assert len(arrivals) == 3 * 10
 
+    def test_rebalance_spawned_workers_write_their_traces(self, capsys, tmp_path):
+        # Growing the fleet from 2 to 3 workers spawns worker 2 mid-run; its
+        # edges' events must land in per-worker logs like everyone else's.
+        from repro.obs import read_events
+
+        plan = tmp_path / "reconfig.json"
+        plan.write_text(
+            '{"reconfig": [{"kind": "rebalance", "at": 4, "num_workers": 3}]}'
+        )
+        out = tmp_path / "serve.jsonl"
+        code = main(
+            ["serve", "--edges", "6", "--horizon", "12", "--workers", "2",
+             "--reconfig", str(plan), "--trace-output", str(out)]
+        )
+        assert code == 0
+        arrivals = [
+            (e.t, e.edge)
+            for log in sorted(tmp_path.glob("serve.jsonl.shard*"))
+            for e in read_events(log)
+            if e.type == "arrival"
+        ]
+        assert sorted(arrivals) == [(t, e) for t in range(12) for e in range(6)]
+
 
 class TestExperimentCommand:
     def test_runs_named_figure(self, capsys):

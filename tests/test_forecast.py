@@ -89,6 +89,22 @@ class TestAR1Forecaster:
             forecaster.update(price)
         assert forecaster.predict(10) > 0
 
+    @pytest.mark.parametrize("prices", [[8.0, 9.0, 7.5, 8.25], [10.0, 5.0, 2.0, 1.0, 0.5]])
+    def test_path_is_every_horizon_of_the_recurrence(self, prices):
+        # The router reads each slot's look-ahead from one path() call; it
+        # must equal iterating the fitted recurrence k times for each k,
+        # with only each output (not the iterate) clamped positive.
+        forecaster = AR1Forecaster()
+        for price in prices:
+            forecaster.update(price)
+        a, b = forecaster.coefficients
+        expected, price = [], prices[-1]
+        for _ in range(12):
+            price = a * price + b
+            expected.append(max(price, 1e-9))
+        assert forecaster.path(12) == expected
+        assert [forecaster.predict(k) for k in range(1, 13)] == expected
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             AR1Forecaster(forgetting=0.3)

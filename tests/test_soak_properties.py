@@ -251,6 +251,37 @@ class TestRunSoakProperties:
             for stage in ("queue", "serve", "trade", "slot"):
                 assert report.stages[stage]["count"] > 0, (num_workers, stage)
 
+    def test_removed_edge_passes_the_volume_leg(self):
+        # A removed edge folds offline with zero arrivals, so its grid cells
+        # in [remove, re-add) never enter; the gate must expect exactly that.
+        from repro.serve import AddEdge, Rebalance, ReconfigPlan, RemoveEdge
+
+        plan = ReconfigPlan((
+            Rebalance(at=4, num_workers=3),
+            RemoveEdge(at=6, edge=1),
+            AddEdge(at=10, edge=1),
+        ))
+        report = run_soak(
+            "sawtooth",
+            num_edges=4,
+            num_workers=2,
+            horizon=16,
+            total_events=600,
+            seed=1,
+            reconfig=plan,
+        )
+        grid = make_load_grid(
+            "sawtooth", horizon=16, num_edges=4, total_events=600, seed=1
+        )
+        assert report.reconfigs == 3
+        assert report.events_in == 600 - int(grid[6:10, 1].sum())
+        assert report.events_in == (
+            report.events_served
+            + report.events_shed
+            + report.events_dropped_offline
+        )
+        assert report.accounting_ok
+
     def test_observer_builds_one_stage_stats_per_stage(self, monkeypatch):
         # Each stage's sketches are built once and reused: a sample must
         # not construct (and throw away) a fresh StageStats.
